@@ -10,6 +10,7 @@ Stalls are therefore results, not errors.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, replace
@@ -27,7 +28,7 @@ from .induction import (
     run_induction,
     witness_leaves,
 )
-from .intervals import Interval
+from .intervals import Interval, _require_number
 
 
 class MalformedModulusError(GaugekitError):
@@ -218,6 +219,7 @@ class SupEstimate:
 Fn = Callable[[float], float]
 
 _GRID_INTERIOR = 64
+_CERTIFY_ATTEMPTS = 8
 
 
 def _sample_grid(dom: Interval) -> list[float]:
@@ -373,77 +375,120 @@ def bound_certificate(f: Fn, bound: float, dom: Interval, mod: ModulusOfContinui
     return BoundCertificate(bound, pieces)
 
 
+def _bound_above(best: float, tol: float) -> float:
+    """The largest binary64 M with M - best <= tol in exact arithmetic, or
+    the next float above best when tol is below the float spacing there."""
+    m = best + tol
+    while math.fsum((m, -best, -tol)) > 0.0:  # fsum is exact in sign
+        m = math.nextafter(m, -math.inf)
+    return max(m, math.nextafter(best, math.inf))
+
+
 def approx_sup(f: Fn, dom: Interval, mod: ModulusOfContinuity, tol: float, *,
                policy: InductionPolicy | None = None,
                on_certificate: Callable[[BoundCertificate], None] | None = None,
                ) -> SupEstimate:
-    """Bracket sup f over dom to within tol by binary search on the bound.
+    """Bracket sup f over dom to within tol: a branch-and-bound search, then
+    one bound certificate.
 
-    The lower end is always an attained sample value (initial grid, then
-    violation/stall samples and certified pieces); the upper end starts at
-    sample_max + span_bound(width) and only ever shrinks via successful
-    certificates, so sup stays inside [sup_lo, sup_hi] throughout.  Probes
-    run with progress_eps = step(tol / 8), which makes every stall tighten
-    the bracket by at least a quarter of the probe gap.
+    Search (Piyavskii-Shubert): the cells between the grid samples sit on a
+    max-heap keyed by the upper bound max(f(x1), f(x2)) + span_bound(width / 2),
+    which holds for any modulus because every point of a cell lies within
+    width / 2 of an endpoint.  The top cell is split at its midpoint until no
+    cell can exceed the best sample by more than tol / 2.  Each split costs
+    one f-evaluation and counts against ``policy.max_steps``.
+
+    Certificate: a single bound_certificate at M, the largest binary64 with
+    M - best <= tol, run with progress_eps = step(tol / 8).  As sup <= best
+    + tol / 2, the creep cannot stall when the modulus is valid.  A violation
+    or a stall raises best to the value it found and the certificate is
+    retried at the new M, a bounded number of times.  The certified pieces
+    may raise best further.  When tol is below the float spacing at best, M
+    is the next float above best: the narrowest bracket binary64 allows.
+
+    The lower end is an attained sample value and the upper end is the bound
+    of the one certificate passed to ``on_certificate``, so sup lies in
+    [sup_lo, sup_hi].
 
     Raises:
-        CapExceededError: if a probe or the search itself runs over budget.
+        CapExceededError: if the search or the certificate runs over budget,
+            or no certificate holds after the retries.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-
+    base = policy or InductionPolicy()
+    cert_policy = replace(base, progress_eps=mod.checked_step(tol / 8.0))
+    half_tol = tol / 2.0
     best_x, best_v = dom.lo, -math.inf
-    for x in _sample_grid(dom):
+    splits = 0
+
+    def sample(x: float) -> float:
+        nonlocal best_x, best_v
         v = f(x)
         if v > best_v:
             best_x, best_v = x, v
-    sup_lo = best_v
-    sup_hi = sup_lo + mod.span_bound(dom.width)
+        return v
 
-    base = policy or InductionPolicy()
-    probe_policy = replace(base, progress_eps=mod.checked_step(tol / 8.0))
+    heap: list[tuple[float, float, float, float, float]] = []
 
-    probes = 0
-    while sup_hi - sup_lo > tol:
-        probes += 1
-        if probes > 500:
-            raise CapExceededError("bound search did not converge in 500 probes")
-        m = 0.5 * (sup_lo + sup_hi)
-        if not sup_lo < m < sup_hi:
-            break  # binary64 cannot split the bracket further
+    def push(x1: float, v1: float, x2: float, v2: float):
+        top = max(v1, v2) + mod.span_bound((x2 - x1) / 2.0)
+        if top - best_v > half_tol:
+            heapq.heappush(heap, (-top, x1, v1, x2, v2))
+
+    xs = _sample_grid(dom)
+    vs = [sample(x) for x in xs]
+    for i in range(len(xs) - 1):
+        push(xs[i], vs[i], xs[i + 1], vs[i + 1])
+    while heap and -heap[0][0] - best_v > half_tol:
+        _, x1, v1, x2, v2 = heapq.heappop(heap)
+        m = 0.5 * (x1 + x2)
+        if not x1 < m < x2:
+            continue  # binary64 cannot split the cell further
+        splits += 1
+        if splits > base.max_steps:
+            raise CapExceededError(f"sup search exceeded {base.max_steps} splits")
+        vm = sample(m)
+        push(x1, v1, m, vm)
+        push(m, vm, x2, v2)
+
+    for _ in range(_CERTIFY_ATTEMPTS):
+        bound = _bound_above(best_v, tol)
         try:
-            result = bound_certificate(f, m, dom, mod, probe_policy)
+            result = bound_certificate(f, bound, dom, mod, cert_policy)
         except BoundViolatedError as hit:
-            if hit.value > best_v:
-                best_x, best_v = hit.x, hit.value
-            sup_lo = max(sup_lo, hit.value)
-            continue
-        if isinstance(result, BoundCertificate):
-            if on_certificate is not None:
-                on_certificate(result)
-            sup_hi = m
-            for piece in result.pieces:
-                if piece.value > best_v:
-                    best_x, best_v = piece.sample, piece.value
-            sup_lo = max(sup_lo, best_v)
+            x, v = hit.x, hit.value
         else:
-            c = result.point
-            fc = f(c)
-            if fc > best_v:
-                best_x, best_v = c, fc
-            sup_lo = max(sup_lo, fc)
-    return SupEstimate(sup_lo, sup_hi, best_x)
+            if isinstance(result, BoundCertificate):
+                for piece in result.pieces:
+                    if piece.value > best_v:
+                        best_x, best_v = piece.sample, piece.value
+                if on_certificate is not None:
+                    on_certificate(result)
+                return SupEstimate(best_v, bound, best_x)
+            x = result.point
+            v = f(x)
+        if not v > best_v:
+            break  # a retry at the same bound would stall again
+        best_x, best_v = x, v
+    raise CapExceededError(
+        f"no bound certificate within tol {tol!r} above {best_v!r}; "
+        "the modulus may not be valid for f")
 
 
 def approx_inf(f: Fn, dom: Interval, mod: ModulusOfContinuity, tol: float, *,
-               policy: InductionPolicy | None = None) -> SupEstimate:
+               policy: InductionPolicy | None = None,
+               on_certificate: Callable[[BoundCertificate], None] | None = None,
+               ) -> SupEstimate:
     """Bracket inf f: approx_sup applied to -f with the results negated.
 
     In the returned estimate the bracket [sup_lo, sup_hi] contains the
     infimum, the *upper* end is the attained sample value, and
-    ``argmax_candidate`` is the near-minimizer.
+    ``argmax_candidate`` is the near-minimizer.  The certificate passed to
+    ``on_certificate`` is for -f, with bound -sup_lo.
     """
-    neg = approx_sup(lambda x: -f(x), dom, mod, tol, policy=policy)
+    neg = approx_sup(lambda x: -f(x), dom, mod, tol, policy=policy,
+                     on_certificate=on_certificate)
     return SupEstimate(-neg.sup_hi, -neg.sup_lo, neg.argmax_candidate)
 
 
@@ -520,30 +565,20 @@ def certificate_to_json(cert: Union[SignCertificate, BoundCertificate], *,
     return json.dumps(certificate_to_dict(cert), indent=indent)
 
 
-def _piece_number(obj, key: str) -> float:
-    try:
-        v = obj[key]
-    except (KeyError, TypeError):
-        raise ValueError(f"certificate JSON missing field {key!r}") from None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"certificate JSON field {key!r} is not a number")
-    return float(v)
-
-
 def certificate_from_dict(data: dict) -> Union[SignCertificate, BoundCertificate]:
     if not isinstance(data, dict):
         raise ValueError("certificate JSON must be an object")
     kind = data.get("kind")
     if kind not in ("sign", "bound"):
         raise ValueError(f"certificate kind must be 'sign' or 'bound', got {kind!r}")
-    target = _piece_number(data, "target")
+    target = _require_number(data, "target", "certificate")
     raw_pieces = data.get("pieces")
     if not isinstance(raw_pieces, list) or not raw_pieces:
         raise ValueError("certificate JSON needs a nonempty 'pieces' list")
+    num = lambda p, key: _require_number(p, key, "certificate")
     pieces = tuple(
-        CertificatePiece(Interval(_piece_number(p, "lo"), _piece_number(p, "hi")),
-                         _piece_number(p, "s"), _piece_number(p, "fs"),
-                         _piece_number(p, "delta"))
+        CertificatePiece(Interval(num(p, "lo"), num(p, "hi")),
+                         num(p, "s"), num(p, "fs"), num(p, "delta"))
         for p in raw_pieces
     )
     if kind == "bound":

@@ -3,8 +3,9 @@
 Subcommands: ``partition | check | root | extremum | certify | verify``.
 Output is machine-readable (JSON by default) and fully deterministic:
 identical inputs produce byte-identical output.  Every partition or
-certificate is re-checked in-process before it is emitted; an artifact
-that fails its own checker is an internal error (exit 70), never output.
+certificate is re-checked in-process before it is emitted, and so is the
+bound certificate behind an extremum bracket; an artifact that fails its
+own checker is an internal error (exit 70), never output.
 
 Exit codes:
     0   success
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -64,6 +66,13 @@ class _DataError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's default pattern misses exponents, so "-1e-3" would be
+        # taken for an option; subparsers are built from this class too
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
     def error(self, message):  # route argparse failures to exit 64
         raise _UsageError(message)
 
@@ -179,10 +188,6 @@ def _write_trace(path: str | None, steps: list[tuple[float, float]]):
             fh.write(json.dumps({"s": s, "t": t}) + "\n")
 
 
-def _partition_payload(p: TaggedPartition) -> dict:
-    return partition_to_dict(p)
-
-
 def _self_check_partition(p: TaggedPartition, gauge: Gauge) -> str | None:
     report = validate_partition(p)
     if not report.ok:
@@ -221,7 +226,7 @@ def _cmd_partition(args) -> int:
     if problem is not None:
         print(f"internal error: {problem}", file=sys.stderr)
         return EXIT_INTERNAL
-    payload = _partition_payload(result)
+    payload = partition_to_dict(result)
     rows = (["lo", "hi", "tag"],
             [[ti.cell.lo, ti.cell.hi, ti.tag] for ti in result.cells])
     human = "\n".join(f"[{ti.cell.lo!r}, {ti.cell.hi!r}] tag {ti.tag!r}"
@@ -279,14 +284,22 @@ def _cmd_extremum(args) -> int:
     dom = _parse_interval(args.interval)
     ast, f = _parsed_function(args.f)
     mod = _lipschitz(args, ast, dom)
+    certificates: list = []
+    search = analysis.approx_sup if args.maximum else analysis.approx_inf
+    est = search(f, dom, mod, args.tol, policy=_policy(args),
+                 on_certificate=certificates.append)
+    # the certificate bounds f by hi for --max, and -f by -lo for --min
     if args.maximum:
-        est = analysis.approx_sup(f, dom, mod, args.tol, policy=_policy(args))
-        payload = {"extremum": "max", "lo": est.sup_lo, "hi": est.sup_hi,
-                   "candidate": est.argmax_candidate}
+        certified_f, top = f, est.sup_hi
     else:
-        est = analysis.approx_inf(f, dom, mod, args.tol, policy=_policy(args))
-        payload = {"extremum": "min", "lo": est.sup_lo, "hi": est.sup_hi,
-                   "candidate": est.argmax_candidate}
+        certified_f, top = (lambda x: -f(x)), -est.sup_lo
+    if not (certificates and certificates[-1].bound == top
+            and analysis.verify_bound_certificate(certificates[-1], certified_f, mod)):
+        print("internal error: the certificate behind the bracket failed its own checker",
+              file=sys.stderr)
+        return EXIT_INTERNAL
+    payload = {"extremum": "max" if args.maximum else "min", "lo": est.sup_lo,
+               "hi": est.sup_hi, "candidate": est.argmax_candidate}
     human = (f"{payload['extremum']} in [{payload['lo']!r}, {payload['hi']!r}], "
              f"candidate x = {payload['candidate']!r}")
     _emit(args, payload, human=human)

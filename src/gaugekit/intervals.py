@@ -288,13 +288,14 @@ def partition_to_json(p: TaggedPartition, *, indent: int | None = 2) -> str:
     return json.dumps(partition_to_dict(p), indent=indent)
 
 
-def _require_number(obj, key: str) -> float:
+def _require_number(obj, key: str, artifact: str) -> float:
+    """``obj[key]`` as a float; ``artifact`` names the JSON in error messages."""
     try:
         v = obj[key]
     except (KeyError, TypeError):
-        raise ValueError(f"partition JSON missing field {key!r}") from None
+        raise ValueError(f"{artifact} JSON missing field {key!r}") from None
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"partition JSON field {key!r} is not a number")
+        raise ValueError(f"{artifact} JSON field {key!r} is not a number")
     return float(v)
 
 
@@ -307,13 +308,15 @@ def partition_from_dict(data: dict) -> TaggedPartition:
     if not isinstance(data, dict):
         raise ValueError("partition JSON must be an object")
     dom = data.get("domain")
-    domain = Interval(_require_number(dom, "lo"), _require_number(dom, "hi"))
+    domain = Interval(_require_number(dom, "lo", "partition"),
+                      _require_number(dom, "hi", "partition"))
     cells = data.get("cells")
     if not isinstance(cells, list):
         raise ValueError("partition JSON field 'cells' must be a list")
     tagged = tuple(
-        TaggedInterval(Interval(_require_number(c, "lo"), _require_number(c, "hi")),
-                       _require_number(c, "tag"))
+        TaggedInterval(Interval(_require_number(c, "lo", "partition"),
+                                _require_number(c, "hi", "partition")),
+                       _require_number(c, "tag", "partition"))
         for c in cells
     )
     return TaggedPartition(domain, tagged)

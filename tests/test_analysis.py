@@ -194,6 +194,61 @@ class TestApproxSup:
         for cert in seen:
             assert verify_bound_certificate(cert, math.sin, Lipschitz(1.0))
 
+    def test_one_certificate_at_the_upper_end(self):
+        seen = []
+        est = approx_sup(math.sin, Interval(0.0, math.pi), Lipschitz(1.0), 1e-4,
+                         on_certificate=seen.append)
+        assert len(seen) == 1
+        assert seen[0].bound == est.sup_hi
+        assert verify_bound_certificate(seen[0], math.sin, Lipschitz(1.0))
+
+    def test_hoelder_modulus(self):
+        f = lambda x: -math.sqrt(abs(x - 0.3))
+        seen = []
+        est = approx_sup(f, Interval(0.0, 1.0), Hoelder(1.0, 0.5), 1e-3,
+                         on_certificate=seen.append)
+        assert est.sup_lo <= 0.0 <= est.sup_hi
+        assert est.sup_hi - est.sup_lo <= 1e-3
+        assert f(est.argmax_candidate) == est.sup_lo
+        assert verify_bound_certificate(seen[0], f, Hoelder(1.0, 0.5))
+
+    def test_custom_modulus(self):
+        mod = CustomModulus(lambda eps: eps / 2.0)  # Lipschitz 2, via doubling
+        f = lambda x: -x * x
+        seen = []
+        est = approx_sup(f, Interval(-1.0, 1.0), mod, 1e-4, on_certificate=seen.append)
+        assert est.sup_lo <= 0.0 <= est.sup_hi
+        assert est.sup_hi - est.sup_lo <= 1e-4
+        assert verify_bound_certificate(seen[0], f, mod)
+
+    def test_tol_below_ulp_gives_narrowest_bracket(self):
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return x
+
+        est = approx_sup(f, Interval(0.0, 1.0), Lipschitz(1.0), 1e-20)
+        assert est.sup_lo == 1.0 and est.argmax_candidate == 1.0
+        assert est.sup_hi == math.nextafter(1.0, math.inf)
+        assert calls[0] < 1_000  # no loop trying to split [1, next float]
+
+    def test_evaluation_count(self):
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return math.sin(x)
+
+        est = approx_sup(f, Interval(0.0, math.pi), Lipschitz(1.0), 1e-6)
+        assert est.sup_lo <= 1.0 <= est.sup_hi
+        assert calls[0] <= 20_000
+
+    def test_search_counts_against_max_steps(self):
+        with pytest.raises(CapExceededError):
+            approx_sup(math.sin, Interval(0.0, math.pi), Lipschitz(1.0), 1e-6,
+                       policy=InductionPolicy(max_steps=200))
+
 
 class TestApproxInf:
     def test_sin_inf_at_endpoints(self):
@@ -210,6 +265,15 @@ class TestApproxInf:
         est = approx_inf(lambda x: 3.0, Interval(0, 1), Lipschitz(1.0), 1e-3)
         assert est.sup_lo <= 3.0 <= est.sup_hi
         assert est.sup_hi - est.sup_lo <= 1e-3
+
+    def test_certificate_is_for_negated_f(self):
+        seen = []
+        est = approx_inf(math.cos, Interval(0.0, 3.0), Lipschitz(1.0), 1e-4,
+                         on_certificate=seen.append)
+        assert len(seen) == 1
+        assert seen[0].bound == -est.sup_lo
+        assert verify_bound_certificate(seen[0], lambda x: -math.cos(x), Lipschitz(1.0))
+        assert not verify_bound_certificate(seen[0], math.cos, Lipschitz(1.0))
 
 
 def _tampered_delta(cert):

@@ -5,11 +5,13 @@ import sys
 
 import pytest
 
+from gaugekit import analysis
 from gaugekit.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_CERTIFY_FAILED,
     EXIT_CHECK_FAILED,
     EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_NO_SIGN_CHANGE,
     EXIT_OK,
     EXIT_PARTITION_FAILED,
@@ -202,6 +204,26 @@ class TestExtremum:
         code, _, _ = run_cli(capsys, "extremum", "--f", "x", "--interval", "0", "1")
         assert code == EXIT_USAGE
 
+    def test_upper_end_certifies(self, capsys):
+        code, out, _ = run_cli(capsys, "extremum", "--max", "--f", "sin(x)",
+                               "--interval", "0", "3.141592653589793", "--tol", "1e-4")
+        assert code == EXIT_OK
+        hi = json.loads(out)["hi"]
+        code, _, _ = run_cli(capsys, "certify", "--f", "sin(x)", "--bound", repr(hi),
+                             "--interval", "0", "3.141592653589793")
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("direction", ["--max", "--min"])
+    def test_failed_replay_is_internal_error(self, capsys, monkeypatch, direction):
+        monkeypatch.setattr(analysis, "verify_bound_certificate",
+                            lambda cert, f, mod: False)
+        code, out, err = run_cli(capsys, "extremum", direction, "--f", "sin(x)",
+                                 "--interval", "0", "3.141592653589793",
+                                 "--tol", "1e-4")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert "internal error" in err
+
 
 class TestCertifyVerify:
     def test_no_root_round_trip(self, capsys, tmp_path):
@@ -257,6 +279,38 @@ class TestCertifyVerify:
         path.write_text('{"kind": "sign"}')
         code, _, _ = run_cli(capsys, "verify", "--certificate", str(path), "--f", "x")
         assert code == EXIT_DATA
+
+
+class TestNegativeExponents:
+    def test_root_y(self, capsys):
+        code, out, _ = run_cli(capsys, "root", "--f", "x", "--y", "-1e-3",
+                               "--interval", "-1", "1")
+        assert code == EXIT_OK
+        assert abs(json.loads(out)["c"] + 1e-3) <= 1e-5
+
+    def test_certify_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", "--f", "x-1", "--bound", "-1E-3",
+                               "--interval", "0", "0.5")
+        assert code == EXIT_OK
+        assert json.loads(out)["target"] == -1e-3
+
+    def test_certify_no_root(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", "--f", "x", "--no-root", "-1e-3",
+                               "--interval", "0", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["side"] == "above"
+
+    @pytest.mark.parametrize("lo", ["-1e-3", "-2.5e+1", "-.5e0", "-1.e-2"])
+    def test_extremum_interval(self, capsys, lo):
+        code, out, _ = run_cli(capsys, "extremum", "--max", "--f", "x",
+                               "--interval", lo, "3", "--tol", "1e-4")
+        assert code == EXIT_OK
+        assert json.loads(out)["lo"] == 3.0
+
+    def test_option_name_still_an_option(self, capsys):
+        code, _, _ = run_cli(capsys, "root", "--f", "x", "--y", "-e3",
+                             "--interval", "-1", "1")
+        assert code == EXIT_USAGE
 
 
 class TestDeterminismAndMisc:
