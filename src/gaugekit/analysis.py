@@ -28,7 +28,7 @@ from .induction import (
     run_induction,
     witness_leaves,
 )
-from .intervals import Interval, _require_number
+from .intervals import Interval, _json_document, _json_fill, _require_number
 
 
 class MalformedModulusError(GaugekitError):
@@ -543,12 +543,20 @@ def verify_bound_certificate(cert: BoundCertificate, f: Fn,
 # {"kind": "sign"|"bound", "target": y_or_M, "side": "below"|"above",
 #  "pieces": [{"lo": .., "hi": .., "s": .., "fs": .., "delta": ..}, ...]}
 
+_CERTIFICATE_HEAD = '{\n  "kind": %s,\n  "target": %s,\n  "side": %s,\n  "pieces": ['
+_CERTIFICATE_PIECE = ('    {\n      "lo": %s,\n      "hi": %s,\n      "s": %s,\n'
+                      '      "fs": %s,\n      "delta": %s\n    }')
+
+
+def _certificate_head(cert: Union[SignCertificate, BoundCertificate]) -> tuple:
+    """(kind, target, side) of a certificate's wire form."""
+    if isinstance(cert, SignCertificate):
+        return "sign", cert.target, cert.side.value
+    return "bound", cert.bound, Side.BELOW.value
+
 
 def certificate_to_dict(cert: Union[SignCertificate, BoundCertificate]) -> dict:
-    if isinstance(cert, SignCertificate):
-        kind, target, side = "sign", cert.target, cert.side.value
-    else:
-        kind, target, side = "bound", cert.bound, Side.BELOW.value
+    kind, target, side = _certificate_head(cert)
     return {
         "kind": kind,
         "target": target,
@@ -560,9 +568,12 @@ def certificate_to_dict(cert: Union[SignCertificate, BoundCertificate]) -> dict:
     }
 
 
-def certificate_to_json(cert: Union[SignCertificate, BoundCertificate], *,
-                        indent: int | None = 2) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=indent)
+def certificate_to_json(cert: Union[SignCertificate, BoundCertificate]) -> str:
+    """The certificate as ``json.dumps(certificate_to_dict(cert), indent=2)`` writes it."""
+    head = _json_fill(_CERTIFICATE_HEAD, [_certificate_head(cert)])[0]
+    pieces = _json_fill(_CERTIFICATE_PIECE, [(p.cell.lo, p.cell.hi, p.sample, p.value, p.radius)
+                                             for p in cert.pieces])
+    return _json_document(head, pieces)
 
 
 def certificate_from_dict(data: dict) -> Union[SignCertificate, BoundCertificate]:

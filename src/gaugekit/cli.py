@@ -26,7 +26,7 @@ import json
 import os
 import re
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import analysis, cousin, expr
 from .errors import CapExceededError
@@ -38,9 +38,10 @@ from .intervals import (
     Interval,
     PiecewiseConstantGauge,
     TaggedPartition,
+    _json_fill,
     is_delta_fine,
     partition_from_json,
-    partition_to_dict,
+    partition_to_json,
     validate_partition,
 )
 
@@ -151,41 +152,55 @@ def _lipschitz(args, ast, dom: Interval) -> analysis.Lipschitz:
 
 
 def _write_output(args, text: str):
+    """Write ``text`` and a final newline to ``--output`` or stdout."""
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
+            fh.write("\n")
     else:
         sys.stdout.write(text)
+        sys.stdout.write("\n")
 
 
-def _emit(args, payload: dict, csv_rows: tuple[list[str], list[list]] | None = None,
-          human: str | None = None):
-    if args.format == "json":
-        _write_output(args, json.dumps(payload, indent=2) + "\n")
-        return
+def _write_csv(args, header: list[str], rows: list[list]):
+    lines = [",".join(header)]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    print("note: csv output is lossy; use json for replayable artifacts",
+          file=sys.stderr)
+    _write_output(args, "\n".join(lines))
+
+
+def _emit(args, payload: dict, human: str | None = None):
+    """Write a small payload: indented JSON, one csv row, or ``human`` (the
+    JSON again when there is none)."""
     if args.format == "csv":
-        if csv_rows is None:
-            rows = ([k for k in payload], [[payload[k] for k in payload]])
-        else:
-            rows = csv_rows
-        header, body = rows
-        lines = [",".join(header)]
-        lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
-                  for row in body]
-        print("note: csv output is lossy; use json for replayable artifacts",
-              file=sys.stderr)
-        _write_output(args, "\n".join(lines) + "\n")
-        return
-    _write_output(args, (human if human is not None
-                         else json.dumps(payload, indent=2)) + "\n")
+        _write_csv(args, list(payload), [list(payload.values())])
+    elif args.format == "human" and human is not None:
+        _write_output(args, human)
+    else:
+        _write_output(args, json.dumps(payload, indent=2))
+
+
+def _emit_artifact(args, to_json: Callable[[], str], header: list[str],
+                   rows: Callable[[], list[list]], human: Callable[[], str] | None = None):
+    """Write a partition or certificate, building only the requested format:
+    ``to_json()``, csv ``header`` over ``rows()``, or ``human()`` (the JSON
+    again when there is none)."""
+    if args.format == "csv":
+        _write_csv(args, header, rows())
+    elif args.format == "human" and human is not None:
+        _write_output(args, human())
+    else:
+        _write_output(args, to_json())
 
 
 def _write_trace(path: str | None, steps: list[tuple[float, float]]):
     if path is None:
         return
+    lines = _json_fill('{"s": %s, "t": %s}', steps)
     with open(path, "w") as fh:
-        for s, t in steps:
-            fh.write(json.dumps({"s": s, "t": t}) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _self_check_partition(p: TaggedPartition, gauge: Gauge) -> str | None:
@@ -226,12 +241,10 @@ def _cmd_partition(args) -> int:
     if problem is not None:
         print(f"internal error: {problem}", file=sys.stderr)
         return EXIT_INTERNAL
-    payload = partition_to_dict(result)
-    rows = (["lo", "hi", "tag"],
-            [[ti.cell.lo, ti.cell.hi, ti.tag] for ti in result.cells])
-    human = "\n".join(f"[{ti.cell.lo!r}, {ti.cell.hi!r}] tag {ti.tag!r}"
-                      for ti in result.cells)
-    _emit(args, payload, csv_rows=rows, human=human)
+    _emit_artifact(args, lambda: partition_to_json(result), ["lo", "hi", "tag"],
+                   lambda: [[ti.cell.lo, ti.cell.hi, ti.tag] for ti in result.cells],
+                   human=lambda: "\n".join(f"[{ti.cell.lo!r}, {ti.cell.hi!r}] tag {ti.tag!r}"
+                                           for ti in result.cells))
     return EXIT_OK
 
 
@@ -257,8 +270,7 @@ def _cmd_check(args) -> int:
     payload["first_violation"] = fineness.first_violation
     payload["margin"] = fineness.margin
     ok = report.ok and fineness.fine
-    human = "ok" if ok else json.dumps(payload, indent=2)
-    _emit(args, payload, human=human)
+    _emit(args, payload, human="ok" if ok else None)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -340,10 +352,10 @@ def _cmd_certify(args) -> int:
         print("internal error: produced certificate failed its own checker",
               file=sys.stderr)
         return EXIT_INTERNAL
-    payload = analysis.certificate_to_dict(result)
-    rows = (["lo", "hi", "s", "fs", "delta"],
-            [[p.cell.lo, p.cell.hi, p.sample, p.value, p.radius] for p in result.pieces])
-    _emit(args, payload, csv_rows=rows)
+    _emit_artifact(args, lambda: analysis.certificate_to_json(result),
+                   ["lo", "hi", "s", "fs", "delta"],
+                   lambda: [[p.cell.lo, p.cell.hi, p.sample, p.value, p.radius]
+                            for p in result.pieces])
     return EXIT_OK
 
 

@@ -81,10 +81,11 @@ def creep_partition(gauge: GaugeLike, dom: Interval, *,
                     max_cells: int = DEFAULT_MAX_CELLS) -> Union[TaggedPartition, Stall]:
     """Build a delta-fine partition left to right.
 
-    At frontier s: if ``hi - s <= delta(hi)`` emit the final cell
-    ``([s, hi], tag hi)``; otherwise emit ``([s, min(hi, s + delta(s))],
-    tag s)`` and advance.  The final-cell lookahead is what lets gauges
-    that vanish toward ``hi`` terminate.
+    At frontier s: if ``hi - s <= delta(hi)`` and ``hi - delta(hi) <= s``
+    (both in binary64) emit the final cell ``([s, hi], tag hi)``; otherwise
+    emit ``([s, min(hi, s + delta(s))], tag s)`` and advance.  The
+    final-cell lookahead is what lets gauges that vanish toward ``hi``
+    terminate.
 
     Returns a :class:`Stall` carrying the frontier when the cell budget
     runs out or the step underflows (``s + delta(s) == s`` in binary64).
@@ -101,7 +102,9 @@ def creep_partition(gauge: GaugeLike, dom: Interval, *,
     cells: list[TaggedInterval] = []
     s = a
     while True:
-        if b - s <= delta_b:
+        # b - s rounds, so also ask for the fineness checker's own test
+        # (b - delta_b) - s <= 0, or a tiny negative s gives an unfine cell
+        if b - s <= delta_b and b - delta_b <= s:
             cells.append(TaggedInterval(Interval(s, b), b))
             return TaggedPartition(dom, tuple(cells))
         if len(cells) >= max_cells:

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gaugekit.analysis import (
     BoundCertificate,
@@ -22,6 +23,7 @@ from gaugekit.analysis import (
     approx_sup,
     bound_certificate,
     certificate_from_json,
+    certificate_to_dict,
     certificate_to_json,
     find_root,
     no_root_certificate,
@@ -374,6 +376,36 @@ class TestCertificateJson:
         assert set(data) == {"kind", "target", "side", "pieces"}
         assert set(data["pieces"][0]) == {"lo", "hi", "s", "fs", "delta"}
         assert data["kind"] == "sign" and data["side"] == "below"
+
+    @pytest.mark.parametrize("cert", [
+        SignCertificate(2.0, Side.BELOW, ()),
+        SignCertificate(-0.0, Side.ABOVE, (
+            CertificatePiece(Interval(-0.0, 5e-324), 0.0, 0.1, 1e16),
+            CertificatePiece(Interval(5e-324, 1e22), 1e22, -1e-300, 2.5e-310))),
+        BoundCertificate(3, (CertificatePiece(Interval(0.0, 1.0), 0.5, 1, 2),)),
+        BoundCertificate(1.5, (CertificatePiece(Interval(0.0, 1.0), 0.5, math.nan, 1.0),)),
+        BoundCertificate(math.inf, (CertificatePiece(Interval(0.0, 1.0), 0.5, -math.inf, 1.0),)),
+        BoundCertificate(True, (CertificatePiece(Interval(0.0, 1.0), 0.5, False, 1.0),)),
+    ])
+    def test_writer_matches_json_dumps(self, cert):
+        assert certificate_to_json(cert) == json.dumps(certificate_to_dict(cert), indent=2)
+
+    @pytest.mark.parametrize("y", [2.0, -1.0])
+    def test_writer_matches_json_dumps_on_built_certificates(self, y):
+        sign = no_root_certificate(math.sin, y, Interval(0.0, 3.0), Lipschitz(1.0))
+        bound = bound_certificate(math.sin, 1.01, Interval(0.0, math.pi), Lipschitz(1.0))
+        assert sign.side is (Side.BELOW if y > 0 else Side.ABOVE)
+        for cert in (sign, bound):
+            assert certificate_to_json(cert) == json.dumps(certificate_to_dict(cert), indent=2)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 5),
+                    max_size=6))
+    def test_writer_matches_json_dumps_on_random_floats(self, target, rows):
+        pieces = tuple(CertificatePiece(Interval(min(lo, hi), max(lo, hi)), s, fs, delta)
+                       for lo, hi, s, fs, delta in rows)
+        for cert in (BoundCertificate(target, pieces), SignCertificate(target, Side.ABOVE, pieces)):
+            assert certificate_to_json(cert) == json.dumps(certificate_to_dict(cert), indent=2)
 
     @pytest.mark.parametrize("text", [
         "[]", "{}", '{"kind": "sign"}',

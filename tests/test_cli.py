@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gaugekit import analysis
+from gaugekit import analysis, expr
 from gaugekit.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_CERTIFY_FAILED,
@@ -18,6 +18,8 @@ from gaugekit.cli import (
     EXIT_USAGE,
     main,
 )
+from gaugekit.induction import InductionPolicy
+from gaugekit.intervals import Interval
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +72,28 @@ class TestPartition:
         code, _, _ = run_cli(capsys, "partition", "--gauge", "0.3",
                              "--interval", "0", "1")
         assert code == EXIT_DATA
+
+
+class TestCreepFinalCell:
+    def test_tiny_negative_lo(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        code, _, err = run_cli(capsys, "partition", "--gauge", "const:1.0",
+                               "--interval", "-1e-17", "1", "--output", str(path))
+        assert code == EXIT_OK, err
+        code, out, _ = run_cli(capsys, "check", "--partition", str(path),
+                               "--gauge", "const:1.0")
+        assert code == EXIT_OK
+        assert json.loads(out)["fine"] is True
+
+    @pytest.mark.parametrize("strategy", ["creep", "hybrid"])
+    @pytest.mark.parametrize("lo", [-5e-324, -1e-300, -1e-17, -1.1e-16, -3e-16, -1e-9])
+    @pytest.mark.parametrize("hi", [1.0, 0.7, 3.0])
+    def test_gauge_wider_than_domain_never_internal_error(self, capsys, strategy, lo, hi):
+        width = hi - lo
+        for delta in (width, math.nextafter(width, math.inf), hi, 1.5 * width, 4.0 * width):
+            code, _, err = run_cli(capsys, "partition", "--gauge", f"const:{delta!r}",
+                                   "--interval", repr(lo), repr(hi), "--strategy", strategy)
+            assert code == EXIT_OK, (delta, err)
 
 
 class TestCheck:
@@ -273,6 +297,20 @@ class TestCertifyVerify:
         code, out, _ = run_cli(capsys, "verify", "--certificate", str(path), "--f", "x")
         assert code == EXIT_CHECK_FAILED
         assert json.loads(out) == {"verified": False}
+
+    def test_trace_lines_match_json_dumps(self, capsys, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        code, _, _ = run_cli(capsys, "certify", "--f", "sin(x)", "--bound", "1.01",
+                             "--interval", "0", "3", "--trace", str(path))
+        assert code == EXIT_OK
+        ast, dom = expr.parse("sin(x)"), Interval(0.0, 3.0)
+        steps: list = []
+        analysis.bound_certificate(expr.as_function(ast), 1.01, dom,
+                                   analysis.Lipschitz(expr.lipschitz_bound(ast, dom)),
+                                   InductionPolicy(), trace=steps)
+        assert len(steps) > 10
+        assert path.read_text() == "".join(json.dumps({"s": s, "t": t}) + "\n"
+                                           for s, t in steps)
 
     def test_malformed_certificate(self, capsys, tmp_path):
         path = tmp_path / "cert.json"

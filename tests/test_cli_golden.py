@@ -1,0 +1,124 @@
+"""Pinned CLI output: stdout of every command under every ``--format``.
+
+``golden/cli.json`` maps ``"<case>.<format>"`` to the exit code and the
+exact stdout of that run; ``--output PATH`` must write the same bytes to
+the file and nothing to stdout.  ``check`` and ``verify`` read the
+partition and certificate that the pinned ``partition-const.json`` and
+``certify-bound.json`` runs printed.
+
+To rewrite the pinned file after a deliberate output change:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import json
+import pathlib
+import sys
+
+import pytest
+
+from gaugekit.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
+FORMATS = ("json", "csv", "human")
+PI = "3.141592653589793"
+
+CASES = {
+    "partition-const": ["partition", "--gauge", "const:0.3", "--interval", "0", "1"],
+    "partition-pw-bisect": ["partition", "--gauge", "pw:0:0.5,0.5:0.25",
+                            "--interval", "0", "1", "--strategy", "bisect"],
+    "partition-expr": ["partition", "--gauge", "expr:x/2+0.05", "--interval", "0", "1"],
+    "partition-stall": ["partition", "--gauge", "const:1e-5", "--interval", "0", "1",
+                        "--strategy", "creep", "--max-cells", "10"],
+    "certify-bound": ["certify", "--f", "sin(x)", "--bound", "1.5", "--interval", "0", PI],
+    "certify-below": ["certify", "--f", "x^2-2", "--no-root", "0", "--interval", "0", "1"],
+    "certify-above": ["certify", "--f", "x", "--no-root", "-1e-3", "--interval", "0", "1"],
+    "certify-violated": ["certify", "--f", "sin(x)", "--bound", "0.9",
+                         "--interval", "0", "3.14159"],
+    "certify-stall": ["certify", "--f", "x^2-2", "--no-root", "0", "--interval", "1", "2"],
+    "check-ok": ["check", "--partition", "{partition}", "--gauge", "const:0.3"],
+    "check-unfine": ["check", "--partition", "{partition}", "--gauge", "const:0.2"],
+    "verify-ok": ["verify", "--certificate", "{certificate}", "--f", "sin(x)"],
+    "root": ["root", "--f", "x^2-2", "--y", "0", "--interval", "1", "2"],
+    "root-no-sign-change": ["root", "--f", "x^2+1", "--interval", "-1", "1"],
+    "extremum": ["extremum", "--max", "--f", "sin(x)", "--interval", "0", PI,
+                 "--tol", "1e-4"],
+}
+
+
+def _argv(case: str, fmt: str, inputs: dict[str, str]) -> list[str]:
+    return [a.format(**inputs) for a in CASES[case]] + ["--format", fmt]
+
+
+def _run(capsys, argv) -> tuple[int, str]:
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture
+def inputs(golden, tmp_path) -> dict[str, str]:
+    files = {"partition": "partition-const.json", "certificate": "certify-bound.json"}
+    out = {}
+    for key, name in files.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(golden[name]["stdout"])
+        out[key] = str(path)
+    return out
+
+
+def test_every_case_is_pinned(golden):
+    assert set(golden) == {f"{c}.{f}" for c in CASES for f in FORMATS}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_matches(capsys, golden, inputs, case, fmt):
+    want = golden[f"{case}.{fmt}"]
+    code, out = _run(capsys, _argv(case, fmt, inputs))
+    assert code == want["exit"]
+    assert out == want["stdout"]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_file_matches(capsys, golden, inputs, tmp_path, case, fmt):
+    want = golden[f"{case}.{fmt}"]
+    path = tmp_path / "out"
+    code, out = _run(capsys, _argv(case, fmt, inputs) + ["--output", str(path)])
+    assert code == want["exit"]
+    assert out == ""
+    assert path.read_bytes() == want["stdout"].encode()
+
+
+def _regenerate():
+    import contextlib
+    import io
+    import tempfile
+
+    pinned: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = {"partition": f"{tmp}/partition.json", "certificate": f"{tmp}/certificate.json"}
+        # the check and verify inputs come first so later cases can read them
+        order = ["partition-const", "certify-bound"] + [c for c in CASES if c not in
+                                                         ("partition-const", "certify-bound")]
+        for case in order:
+            for fmt in FORMATS:
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(_argv(case, fmt, inputs))
+                pinned[f"{case}.{fmt}"] = {"exit": code, "stdout": buf.getvalue()}
+            if case == "partition-const":
+                pathlib.Path(inputs["partition"]).write_text(pinned[f"{case}.json"]["stdout"])
+            if case == "certify-bound":
+                pathlib.Path(inputs["certificate"]).write_text(pinned[f"{case}.json"]["stdout"])
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(dict(sorted(pinned.items())), indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(_regenerate())

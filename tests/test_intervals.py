@@ -17,6 +17,7 @@ from gaugekit.intervals import (
     concat,
     is_delta_fine,
     partition_from_json,
+    partition_to_dict,
     partition_to_json,
     validate_partition,
 )
@@ -182,6 +183,36 @@ class TestJsonRoundTrip:
         assert set(data) == {"domain", "cells"}
         assert set(data["domain"]) == {"lo", "hi"}
         assert set(data["cells"][0]) == {"lo", "hi", "tag"}
+
+    @pytest.mark.parametrize("cells", [
+        [],
+        [(-0.0, 5e-324, 0.0)],
+        [(0.0, 0.1, 0.1), (0.1, 1e16, 1e16), (1e16, 1e22, 1e22)],
+        [(-1e300, -1.5, -2.5e-310), (-1.5, 3, 2)],
+    ])
+    def test_writer_matches_json_dumps(self, cells):
+        domain = (cells[0][0], cells[-1][1]) if cells else (0.0, 1.0)
+        p = _partition(domain, cells)
+        assert partition_to_json(p) == json.dumps(partition_to_dict(p), indent=2)
+
+    @pytest.mark.parametrize("tag", [math.nan, math.inf, -math.inf])
+    def test_writer_spells_nonfinite_tags_like_json(self, tag):
+        p = _partition((0, 2), [(0, 1, 0.5), (1, 2, tag)])
+        text = partition_to_json(p)
+        assert text == json.dumps(partition_to_dict(p), indent=2)
+        back = partition_from_json(text)
+        assert back.cells[0] == p.cells[0] and repr(back.cells[1].tag) == repr(tag)
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    max_size=8))
+    def test_writer_matches_json_dumps_on_random_floats(self, cells):
+        # the writer never checks the partition, so unordered cells are fine here
+        p = TaggedPartition(Interval(-1.0, 1.0),
+                            tuple(TaggedInterval(Interval(min(lo, hi), max(lo, hi)), tag)
+                                  for lo, hi, tag in cells))
+        assert partition_to_json(p) == json.dumps(partition_to_dict(p), indent=2)
 
     @pytest.mark.parametrize("text", [
         "[]",
