@@ -26,7 +26,6 @@ from .induction import (
     StallReason,
     Witness,
     run_induction,
-    witness_leaves,
 )
 from .intervals import Interval, _json_document, _json_fill, _require_number
 
@@ -267,21 +266,20 @@ def no_root_certificate(f: Fn, y: float, dom: Interval, mod: ModulusOfContinuity
         t = min(b, s + delta)
         if t <= s:
             return None
-        piece = CertificatePiece(Interval(s, t), s, fs, delta)
-        return t, Witness(Interval(s, t), (side, piece))
+        cell = Interval(s, t)
+        return t, Witness(cell, (side, CertificatePiece(cell, s, fs, delta)))
 
     def combine(w1: Witness, w2: Witness):
-        side1, side2 = w1.payload[0], w2.payload[0]
-        if side1 is not side2:
+        if w1.payload[0] is not w2.payload[0]:
             return Incompatible(f"side flips across {w2.interval.lo!r}")
-        return Witness(Interval(w1.interval.lo, w2.interval.hi), (side1, None), (w1, w2))
+        return None
 
     result = run_induction(LocalOracle(right, combine), dom, policy, trace=trace)
     if isinstance(result, StallDiagnostic):
         _raise_if_cap(result)
         return StallAtRoot(result.frontier, result)
-    pieces = tuple(leaf.payload[1] for leaf in witness_leaves(result))
-    return SignCertificate(y, result.payload[0], pieces)
+    pieces = tuple(leaf.payload[1] for leaf in result.leaves)
+    return SignCertificate(y, result.leaves[0].payload[0], pieces)
 
 
 def find_root(f: Fn, y: float, dom: Interval, mod: ModulusOfContinuity,
@@ -361,17 +359,17 @@ def bound_certificate(f: Fn, bound: float, dom: Interval, mod: ModulusOfContinui
         t = min(b, s + delta)
         if t <= s:
             return None
-        piece = CertificatePiece(Interval(s, t), s, fs, delta)
-        return t, Witness(Interval(s, t), piece)
+        cell = Interval(s, t)
+        return t, Witness(cell, CertificatePiece(cell, s, fs, delta))
 
     def combine(w1: Witness, w2: Witness):
-        return Witness(Interval(w1.interval.lo, w2.interval.hi), None, (w1, w2))
+        return None  # every leaf stands on its own
 
     result = run_induction(LocalOracle(right, combine), dom, policy, trace=trace)
     if isinstance(result, StallDiagnostic):
         _raise_if_cap(result)
         return StallNearMax(result.frontier, result)
-    pieces = tuple(leaf.payload for leaf in witness_leaves(result))
+    pieces = tuple(leaf.payload for leaf in result.leaves)
     return BoundCertificate(bound, pieces)
 
 

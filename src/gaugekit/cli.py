@@ -17,11 +17,15 @@ Exit codes:
     64  usage error
     65  unparseable input data (expressions, gauges, files, domains)
     70  internal error: a produced artifact failed its own checker
+    73  cannot write the --output or --trace file
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
+import io
 import json
 import os
 import re
@@ -54,6 +58,7 @@ EXIT_CERTIFY_FAILED = 5
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
+EXIT_CANTCREAT = 73
 
 ENV_MAX_STEPS = "GAUGEKIT_MAX_STEPS"
 
@@ -63,6 +68,10 @@ class _UsageError(Exception):
 
 
 class _DataError(Exception):
+    pass
+
+
+class _CantCreateError(Exception):
     pass
 
 
@@ -151,10 +160,17 @@ def _lipschitz(args, ast, dom: Interval) -> analysis.Lipschitz:
         raise _DataError(f"cannot derive a Lipschitz bound (pass --lipschitz): {e}") from None
 
 
+def _open_for_writing(path: str, what: str):
+    try:
+        return open(path, "w")
+    except OSError as e:
+        raise _CantCreateError(f"cannot write {what}: {e}") from None
+
+
 def _write_output(args, text: str):
     """Write ``text`` and a final newline to ``--output`` or stdout."""
     if args.output:
-        with open(args.output, "w") as fh:
+        with _open_for_writing(args.output, "output file") as fh:
             fh.write(text)
             fh.write("\n")
     else:
@@ -162,20 +178,41 @@ def _write_output(args, text: str):
         sys.stdout.write("\n")
 
 
+def _csv_field(value) -> str:
+    """Floats as repr, strings as they are, anything else as JSON spells it."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, str):
+        return value
+    return json.dumps(value)
+
+
 def _write_csv(args, header: list[str], rows: list[list]):
-    lines = [",".join(header)]
-    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_field(v) for v in row] for row in rows)
     print("note: csv output is lossy; use json for replayable artifacts",
           file=sys.stderr)
-    _write_output(args, "\n".join(lines))
+    _write_output(args, buf.getvalue()[:-1])  # which adds the last newline back
+
+
+def _flat_items(payload: dict, prefix: str = ""):
+    """``(key, value)`` pairs of ``payload`` with nested dicts spread into
+    dotted keys, e.g. ``stall.frontier``."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _flat_items(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
 
 
 def _emit(args, payload: dict, human: str | None = None):
     """Write a small payload: indented JSON, one csv row, or ``human`` (the
     JSON again when there is none)."""
     if args.format == "csv":
-        _write_csv(args, list(payload), [list(payload.values())])
+        flat = dict(_flat_items(payload))
+        _write_csv(args, list(flat), [list(flat.values())])
     elif args.format == "human" and human is not None:
         _write_output(args, human)
     else:
@@ -195,12 +232,21 @@ def _emit_artifact(args, to_json: Callable[[], str], header: list[str],
         _write_output(args, to_json())
 
 
-def _write_trace(path: str | None, steps: list[tuple[float, float]]):
+@contextlib.contextmanager
+def _step_trace(path: str | None):
+    """Yield the list the engine appends its ``(s, t)`` steps to, and write
+    it to ``path`` as JSON lines however the run ends; yield None (nothing
+    is recorded) when there is no path.  The file is opened first, so an
+    unwritable path fails before the run."""
     if path is None:
+        yield None
         return
-    lines = _json_fill('{"s": %s, "t": %s}', steps)
-    with open(path, "w") as fh:
-        fh.writelines(line + "\n" for line in lines)
+    with _open_for_writing(path, "trace file") as fh:
+        steps: list = []
+        try:
+            yield steps
+        finally:
+            fh.writelines(line + "\n" for line in _json_fill('{"s": %s, "t": %s}', steps))
 
 
 def _self_check_partition(p: TaggedPartition, gauge: Gauge) -> str | None:
@@ -278,15 +324,13 @@ def _cmd_root(args) -> int:
     dom = _parse_interval(args.interval)
     ast, f = _parsed_function(args.f)
     mod = _lipschitz(args, ast, dom)
-    trace: list = []
-    try:
-        result = analysis.find_root(f, args.y, dom, mod, args.tol,
-                                    policy=_policy(args), trace=trace)
-    except analysis.NoSignChangeError as e:
-        _emit(args, {"error": "no_sign_change", "detail": str(e)})
-        return EXIT_NO_SIGN_CHANGE
-    finally:
-        _write_trace(args.trace, trace)
+    with _step_trace(args.trace) as trace:
+        try:
+            result = analysis.find_root(f, args.y, dom, mod, args.tol,
+                                        policy=_policy(args), trace=trace)
+        except analysis.NoSignChangeError as e:
+            _emit(args, {"error": "no_sign_change", "detail": str(e)})
+            return EXIT_NO_SIGN_CHANGE
     payload = {"c": result.c, "residual_bound": result.residual_bound}
     _emit(args, payload, human=f"c = {result.c!r} (|f(c) - y| <= {result.residual_bound!r})")
     return EXIT_OK
@@ -322,32 +366,30 @@ def _cmd_certify(args) -> int:
     dom = _parse_interval(args.interval)
     ast, f = _parsed_function(args.f)
     mod = _lipschitz(args, ast, dom)
-    trace: list = []
-    try:
-        if args.no_root is not None:
-            result = analysis.no_root_certificate(f, args.no_root, dom, mod,
-                                                  _policy(args), trace=trace)
-            if isinstance(result, analysis.StallAtRoot):
-                _emit(args, {"error": "stall", "stall_point": result.point,
-                             "reason": result.diagnostic.reason.value})
-                return EXIT_CERTIFY_FAILED
-            verified = analysis.verify_sign_certificate(result, f, mod)
-        else:
-            result = analysis.bound_certificate(f, args.bound, dom, mod,
-                                                _policy(args), trace=trace)
-            if isinstance(result, analysis.StallNearMax):
-                _emit(args, {"error": "stall", "stall_point": result.point,
-                             "reason": result.diagnostic.reason.value})
-                return EXIT_CERTIFY_FAILED
-            verified = analysis.verify_bound_certificate(result, f, mod)
-    except analysis.TargetHitExactlyError as hit:
-        _emit(args, {"error": "target_hit_exactly", "x": hit.x})
-        return EXIT_CERTIFY_FAILED
-    except analysis.BoundViolatedError as hit:
-        _emit(args, {"error": "bound_violated", "x": hit.x, "value": hit.value})
-        return EXIT_CERTIFY_FAILED
-    finally:
-        _write_trace(args.trace, trace)
+    with _step_trace(args.trace) as trace:
+        try:
+            if args.no_root is not None:
+                result = analysis.no_root_certificate(f, args.no_root, dom, mod,
+                                                      _policy(args), trace=trace)
+                if isinstance(result, analysis.StallAtRoot):
+                    _emit(args, {"error": "stall", "stall_point": result.point,
+                                 "reason": result.diagnostic.reason.value})
+                    return EXIT_CERTIFY_FAILED
+                verified = analysis.verify_sign_certificate(result, f, mod)
+            else:
+                result = analysis.bound_certificate(f, args.bound, dom, mod,
+                                                    _policy(args), trace=trace)
+                if isinstance(result, analysis.StallNearMax):
+                    _emit(args, {"error": "stall", "stall_point": result.point,
+                                 "reason": result.diagnostic.reason.value})
+                    return EXIT_CERTIFY_FAILED
+                verified = analysis.verify_bound_certificate(result, f, mod)
+        except analysis.TargetHitExactlyError as hit:
+            _emit(args, {"error": "target_hit_exactly", "x": hit.x})
+            return EXIT_CERTIFY_FAILED
+        except analysis.BoundViolatedError as hit:
+            _emit(args, {"error": "bound_violated", "x": hit.x, "value": hit.value})
+            return EXIT_CERTIFY_FAILED
     if not verified:
         print("internal error: produced certificate failed its own checker",
               file=sys.stderr)
@@ -478,6 +520,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
+    except _CantCreateError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CANTCREAT
 
 
 if __name__ == "__main__":

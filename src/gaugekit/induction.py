@@ -1,10 +1,10 @@
 """Generic interval induction: creep right, close limits from the left.
 
 The engine maintains a frontier ``s`` (starting at ``dom.lo``) together
-with a witness certifying ``[dom.lo, s]``.  Each iteration asks the local
-oracle for a certified step ``[s, t]`` and merges it into the running
-witness via the oracle's combiner.  Reaching ``dom.hi`` yields a witness
-for the whole domain.
+with the list of leaf witnesses that tile ``[dom.lo, s]``.  Each iteration
+asks the local oracle for a certified step ``[s, t]``, lets the oracle's
+combiner check it against the previous leaf, and appends it.  Reaching
+``dom.hi`` yields one witness whose leaves tile the whole domain.
 
 When forward progress dies out short of ``dom.hi`` — the oracle refuses,
 or steps shrink below ``progress_eps`` — the frontier approximates the
@@ -36,16 +36,17 @@ class Witness:
     """Checkable evidence that ``interval`` has the certified property.
 
     Leaves come from oracles and carry application data in ``payload``;
-    internal nodes span exactly the union of their two adjacent children.
+    a combined witness lists in ``leaves``, left to right, the witnesses
+    that tile its interval.
     """
 
     interval: Interval
     payload: Any = None
-    children: Optional[tuple["Witness", "Witness"]] = field(default=None, repr=False)
+    leaves: Optional[tuple["Witness", ...]] = field(default=None, repr=False)
 
     @property
     def is_leaf(self) -> bool:
-        return self.children is None
+        return self.leaves is None
 
     def __repr__(self) -> str:
         shape = "leaf" if self.is_leaf else "combined"
@@ -53,36 +54,38 @@ class Witness:
 
 
 def witness_leaves(w: Witness) -> Iterator[Witness]:
-    """Yield the leaves left to right (iteratively: trees can be very deep)."""
+    """Yield the leaves left to right, descending into any leaf that is
+    itself combined (iteratively: nesting can be deep)."""
     stack = [w]
     while stack:
         node = stack.pop()
-        if node.children is None:
+        if node.leaves is None:
             yield node
         else:
-            stack.append(node.children[1])
-            stack.append(node.children[0])
+            stack.extend(reversed(node.leaves))
 
 
 @dataclass(frozen=True)
 class Incompatible:
-    """Returned by a combiner that cannot merge two witnesses."""
+    """Returned by a combiner that forbids two adjacent witnesses."""
 
     reason: str = ""
 
 
 def combine_adjacent(w1: Witness, w2: Witness, payload: Any = None) -> Witness:
-    """Structural combiner: merge two adjacent witnesses into one."""
+    """Structural combiner: one flat witness whose leaves are those of w1
+    then those of w2 (a leaf counts as its own single leaf)."""
     if w1.interval.hi != w2.interval.lo:
         raise MalformedOracleError(
             f"witnesses are not adjacent: [{w1.interval.lo!r}, {w1.interval.hi!r}] then "
             f"[{w2.interval.lo!r}, {w2.interval.hi!r}]")
-    return Witness(Interval(w1.interval.lo, w2.interval.hi), payload, (w1, w2))
+    own = lambda w: (w,) if w.leaves is None else w.leaves
+    return Witness(Interval(w1.interval.lo, w2.interval.hi), payload, own(w1) + own(w2))
 
 
 RightFn = Callable[[float], Optional[tuple[float, Witness]]]
 LeftFn = Callable[[float, float], Optional[tuple[float, Witness]]]
-CombineFn = Callable[[Witness, Witness], Union[Witness, Incompatible]]
+CombineFn = Callable[[Witness, Witness], Any]
 
 
 @dataclass(frozen=True)
@@ -90,12 +93,14 @@ class LocalOracle:
     """Local certificate producers.
 
     ``right(s)`` returns ``(t, w)`` with ``s < t <= dom.hi`` and
-    ``w.interval == [s, t]``, or None to refuse.  ``combine(w1, w2)``
-    merges adjacent witnesses or reports :class:`Incompatible`.
+    ``w.interval == [s, t]``, or None to refuse.  ``combine(w1, w2)`` is a
+    pairwise check, called on each pair of adjacent leaves as the second is
+    committed: returning :class:`Incompatible` stops the run, and any other
+    result is ignored.
     ``left(s_star, hint)``, if present, returns ``(hint, w)`` with
     ``w.interval == [hint, s_star]``, or None to refuse; it is only ever
-    called with ``hint`` equal to the current frontier, so the running
-    witness is never truncated or split.  All three must be deterministic
+    called with ``hint`` equal to the current frontier, so no committed
+    leaf is ever truncated or split.  All three must be deterministic
     and reentrant.
     """
 
@@ -129,15 +134,21 @@ class StallDiagnostic:
     """Where and why the creep stopped.
 
     ``frontier`` is the best point with a witnessed ``[dom.lo, frontier]``
-    (the witness itself is ``witness_so_far``); it approximates the
-    supremum of reachable points.
+    (the witness itself is ``witness_so_far``, None when nothing was
+    committed); it approximates the supremum of reachable points.
     """
 
     frontier: float
     witness_so_far: Optional[Witness]
-    step_history: tuple[tuple[float, float], ...]
     reason: StallReason
     incompatible: Optional[Incompatible] = None
+
+    @property
+    def step_history(self) -> tuple[tuple[float, float], ...]:
+        """The committed steps ``(s, t)``, read off the leaves of ``witness_so_far``."""
+        if self.witness_so_far is None:
+            return ()
+        return tuple((w.interval.lo, w.interval.hi) for w in self.witness_so_far.leaves)
 
 
 def _checked_right(oracle: LocalOracle, s: float, b: float) -> Optional[tuple[float, Witness]]:
@@ -175,21 +186,22 @@ def run_induction(oracle: LocalOracle, dom: Interval,
         raise ValueError(f"domain must be nondegenerate, got [{a!r}, {b!r}]")
 
     s = a
-    running: Optional[Witness] = None
-    history: list[tuple[float, float]] = []
+    leaves: list[Witness] = []
+    combine = oracle.combine
     steps = 0
     closures = 0
 
     def diag(reason: StallReason, bad: Incompatible | None = None) -> StallDiagnostic:
-        return StallDiagnostic(s, running, tuple(history), reason, bad)
+        so_far = Witness(Interval(a, s), None, tuple(leaves)) if leaves else None
+        return StallDiagnostic(s, so_far, reason, bad)
 
     def commit(t: float, w: Witness) -> Incompatible | None:
-        nonlocal s, running
-        merged = oracle.combine(running, w) if running is not None else w
-        if isinstance(merged, Incompatible):
-            return merged
-        running = merged
-        history.append((s, t))
+        nonlocal s
+        if leaves:
+            bad = combine(leaves[-1], w)
+            if isinstance(bad, Incompatible):
+                return bad
+        leaves.append(w)
         if trace is not None:
             trace.append((s, t))
         s = t
@@ -249,32 +261,32 @@ def run_induction(oracle: LocalOracle, dom: Interval,
         if bad is not None:
             return diag(StallReason.COMBINE_INCOMPATIBLE, bad)
 
-    assert running is not None
-    return running
+    return Witness(dom, None, tuple(leaves))
 
 
 def verify_witness(w: Witness, dom: Interval,
                    leaf_check: Callable[[Witness], bool]) -> bool:
-    """Independently replay a witness tree.
+    """Independently replay a witness.
 
-    True iff internal nodes pair adjacent children and span their union,
-    the root spans ``dom`` exactly, and every leaf passes ``leaf_check``.
-    Iterative, so arbitrarily deep combination chains are fine.
+    True iff ``w`` spans ``dom`` exactly, the leaves of every combined
+    witness tile its interval left to right, and every leaf passes
+    ``leaf_check``.  Iterative, so arbitrarily deep nesting is fine.
     """
     if w.interval.lo != dom.lo or w.interval.hi != dom.hi:
         return False
     stack = [w]
     while stack:
         node = stack.pop()
-        if node.children is None:
+        if node.leaves is None:
             if not leaf_check(node):
                 return False
             continue
-        c1, c2 = node.children
-        if (c1.interval.lo != node.interval.lo
-                or c2.interval.hi != node.interval.hi
-                or c1.interval.hi != c2.interval.lo):
+        edge = node.interval.lo
+        for leaf in node.leaves:
+            if leaf.interval.lo != edge:
+                return False
+            edge = leaf.interval.hi
+        if edge != node.interval.hi:
             return False
-        stack.append(c2)
-        stack.append(c1)
+        stack.extend(reversed(node.leaves))
     return True

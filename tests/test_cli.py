@@ -7,6 +7,7 @@ import pytest
 
 from gaugekit import analysis, expr
 from gaugekit.cli import (
+    EXIT_CANTCREAT,
     EXIT_CAP_EXCEEDED,
     EXIT_CERTIFY_FAILED,
     EXIT_CHECK_FAILED,
@@ -317,6 +318,42 @@ class TestCertifyVerify:
         path.write_text('{"kind": "sign"}')
         code, _, _ = run_cli(capsys, "verify", "--certificate", str(path), "--f", "x")
         assert code == EXIT_DATA
+
+
+class TestUnwritablePaths:
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--gauge", "const:0.3", "--interval", "0", "1", "--output", "{bad}"],
+        ["certify", "--f", "sin(x)", "--bound", "1.5", "--interval", "0", "3",
+         "--output", "{bad}"],
+        ["root", "--f", "x^2-2", "--interval", "1", "2", "--trace", "{bad}"],
+        ["root", "--f", "x^2+1", "--interval", "-1", "1", "--trace", "{bad}"],
+        ["certify", "--f", "x^2-2", "--no-root", "0", "--interval", "1", "2",
+         "--trace", "{bad}"],
+    ])
+    def test_exit_cantcreat(self, capsys, tmp_path, argv):
+        bad = str(tmp_path / "missing" / "x.out")
+        code, out, err = run_cli(capsys, *[a.format(bad=bad) for a in argv])
+        assert code == EXIT_CANTCREAT
+        assert out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_engine_gets_a_trace_list_only_with_trace_flag(self, capsys, tmp_path,
+                                                           monkeypatch, trace):
+        seen = []
+        real = analysis.bound_certificate
+
+        def spy(*args, trace=None, **kwargs):
+            seen.append(trace)
+            return real(*args, trace=trace, **kwargs)
+
+        monkeypatch.setattr(analysis, "bound_certificate", spy)
+        argv = ["certify", "--f", "sin(x)", "--bound", "1.5", "--interval", "0", "3"]
+        if trace:
+            argv += ["--trace", str(tmp_path / "t.jsonl")]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert (seen[0] is not None) == trace
 
 
 class TestNegativeExponents:

@@ -9,8 +9,12 @@ partition and certificate that the pinned ``partition-const.json`` and
 To rewrite the pinned file after a deliberate output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+It prints the keys whose pinned exit code or stdout changed, or "no change".
 """
 
+import csv
+import io
 import json
 import pathlib
 import sys
@@ -95,9 +99,18 @@ def test_output_file_matches(capsys, golden, inputs, tmp_path, case, fmt):
     assert path.read_bytes() == want["stdout"].encode()
 
 
+def test_csv_rows_match_header(golden):
+    ragged = []
+    for key, want in golden.items():
+        if key.endswith(".csv"):
+            rows = list(csv.reader(io.StringIO(want["stdout"])))
+            if not rows or any(len(row) != len(rows[0]) for row in rows):
+                ragged.append(key)
+    assert ragged == []
+
+
 def _regenerate():
     import contextlib
-    import io
     import tempfile
 
     pinned: dict = {}
@@ -116,6 +129,9 @@ def _regenerate():
                 pathlib.Path(inputs["partition"]).write_text(pinned[f"{case}.json"]["stdout"])
             if case == "certify-bound":
                 pathlib.Path(inputs["certificate"]).write_text(pinned[f"{case}.json"]["stdout"])
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    changed = sorted(k for k in pinned.keys() | old.keys() if pinned.get(k) != old.get(k))
+    print("\n".join(changed) if changed else "no change")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(dict(sorted(pinned.items())), indent=1) + "\n")
 

@@ -218,3 +218,75 @@ class TestVerifyWitness:
         assert verify_witness(result, UNIT, lambda leaf: True)
         # float accumulation may add one catch-up step at the end
         assert len(list(witness_leaves(result))) in (10_000, 10_001)
+
+
+class TestFlatLeaves:
+    def test_leaves_are_the_oracle_witnesses_in_order(self):
+        returned = []
+
+        def right(s):
+            t, w = _fixed_step(0.17)(s)
+            returned.append(w)
+            return t, w
+
+        result = run_induction(LocalOracle(right, combine_adjacent), UNIT)
+        assert len(result.leaves) == len(returned)
+        assert all(leaf is w for leaf, w in zip(result.leaves, returned))
+        assert all(leaf.is_leaf for leaf in result.leaves)
+
+    def test_combine_sees_each_adjacent_pair_once(self):
+        calls = []
+
+        def combine(w1, w2):
+            calls.append((w1, w2))
+            return "ignored"
+
+        result = run_induction(LocalOracle(_fixed_step(0.17), combine), UNIT)
+        leaves = result.leaves
+        assert len(calls) == len(leaves) - 1
+        assert all(c1 is w1 and c2 is w2
+                   for (c1, c2), w1, w2 in zip(calls, leaves, leaves[1:]))
+
+    def test_stall_history_is_the_trace(self):
+        trace = []
+        result = run_induction(LocalOracle(_shrinking, combine_adjacent), UNIT,
+                               InductionPolicy(progress_eps=1e-6), trace=trace)
+        assert isinstance(result, StallDiagnostic)
+        assert list(result.step_history) == trace
+        so_far = result.witness_so_far
+        assert so_far.interval == Interval(0.0, result.frontier)
+        assert verify_witness(so_far, Interval(0.0, result.frontier), lambda leaf: True)
+
+    def test_incompatible_closure_keeps_frontier(self):
+        def left(s_star, hint):
+            return hint, _leaf(hint, s_star, "closure")
+
+        def combine(w1, w2):
+            return Incompatible("no closures") if w2.payload == "closure" else None
+
+        trace = []
+        result = run_induction(LocalOracle(_shrinking, combine, left), UNIT,
+                               InductionPolicy(progress_eps=1e-6), trace=trace)
+        assert isinstance(result, StallDiagnostic)
+        assert result.reason is StallReason.COMBINE_INCOMPATIBLE
+        assert result.incompatible.reason == "no closures"
+        assert result.frontier == trace[-1][1] < 1.0
+        assert 1.0 - 1e-5 <= result.frontier
+
+    def test_combine_adjacent_flattens(self):
+        a = combine_adjacent(_leaf(0.0, 0.25), _leaf(0.25, 0.5))
+        b = combine_adjacent(_leaf(0.5, 0.75), _leaf(0.75, 1.0))
+        w = combine_adjacent(a, b)
+        assert w.leaves == a.leaves + b.leaves
+        assert list(witness_leaves(w)) == list(w.leaves)
+        assert verify_witness(w, UNIT, lambda leaf: True)
+
+    def test_nested_leaves_are_walked(self):
+        inner = Witness(Interval(0.5, 1.0), None, (_leaf(0.5, 0.7, "ok"), _leaf(0.7, 1.0, "bad")))
+        w = Witness(UNIT, None, (_leaf(0.0, 0.5, "ok"), inner))
+        assert [leaf.interval.hi for leaf in witness_leaves(w)] == [0.5, 0.7, 1.0]
+        assert verify_witness(w, UNIT, lambda leaf: leaf.payload in ("ok", "bad"))
+        assert not verify_witness(w, UNIT, lambda leaf: leaf.payload == "ok")
+        torn = Witness(UNIT, None, (_leaf(0.0, 0.5), Witness(Interval(0.5, 1.0), None,
+                                                             (_leaf(0.5, 0.6), _leaf(0.7, 1.0)))))
+        assert not verify_witness(torn, UNIT, lambda leaf: True)
