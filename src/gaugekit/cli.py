@@ -15,9 +15,11 @@ Exit codes:
     4   iteration budget exceeded
     5   certification failed (stall, violated bound, or exact hit)
     64  usage error
-    65  unparseable input data (expressions, gauges, files, domains)
+    65  unparseable input data (expressions, gauges, files, domains),
+        including input nested past the recursion limit
     70  internal error: a produced artifact failed its own checker
-    73  cannot write the --output or --trace file
+    73  cannot write the --output or --trace file; both are opened before
+        the run, and --output is only replaced once there is a payload
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import io
 import json
 import os
 import re
+import stat
 import sys
 from typing import Callable, Sequence
 
@@ -87,6 +90,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@contextlib.contextmanager
+def _nesting_checked():
+    """Report an expression too deep for the recursive parser, compiler or
+    differentiator as a data error rather than a traceback."""
+    try:
+        yield
+    except RecursionError:
+        raise _DataError("expression nested too deeply") from None
+
+
 def _parse_gauge_spec(spec: str) -> Gauge:
     kind, sep, body = spec.partition(":")
     if not sep:
@@ -104,7 +117,8 @@ def _parse_gauge_spec(spec: str) -> Gauge:
                 values.append(float(v))
             return PiecewiseConstantGauge(tuple(breakpoints), tuple(values))
         if kind == "expr":
-            return expr.ExprGauge(expr.parse(body))
+            with _nesting_checked():
+                return expr.ExprGauge(expr.parse(body))
     except (ValueError, expr.ParseError) as e:
         raise _DataError(f"bad gauge spec {spec!r}: {e}") from None
     raise _DataError(f"unknown gauge kind {kind!r} (expected const, pw, or expr)")
@@ -142,11 +156,12 @@ def _policy(args) -> InductionPolicy:
 
 
 def _parsed_function(text: str):
-    try:
-        ast = expr.parse(text)
-    except expr.ParseError as e:
-        raise _DataError(f"bad expression {text!r}: {e}") from None
-    return ast, expr.as_function(ast)
+    with _nesting_checked():
+        try:
+            ast = expr.parse(text)
+        except expr.ParseError as e:
+            raise _DataError(f"bad expression {text!r}: {e}") from None
+        return ast, expr.as_function(ast)
 
 
 def _lipschitz(args, ast, dom: Interval) -> analysis.Lipschitz:
@@ -155,27 +170,44 @@ def _lipschitz(args, ast, dom: Interval) -> analysis.Lipschitz:
             raise _DataError(f"--lipschitz must be positive, got {args.lipschitz!r}")
         return analysis.Lipschitz(args.lipschitz)
     try:
-        return analysis.Lipschitz(expr.lipschitz_bound(ast, dom))
+        with _nesting_checked():
+            return analysis.Lipschitz(expr.lipschitz_bound(ast, dom))
     except (expr.NotDifferentiableError, expr.EvalDomainError) as e:
         raise _DataError(f"cannot derive a Lipschitz bound (pass --lipschitz): {e}") from None
 
 
-def _open_for_writing(path: str, what: str):
+def _open_for_writing(path: str, what: str, mode: str = "w"):
     try:
-        return open(path, "w")
+        return open(path, mode)
     except OSError as e:
         raise _CantCreateError(f"cannot write {what}: {e}") from None
 
 
+@contextlib.contextmanager
+def _output_file(path: str | None):
+    """Yield ``path`` opened for appending, or None (stdout) when there is no
+    path.  The file is opened before the run, so an unwritable path fails
+    first; it is created but not truncated, so a run that ends without a
+    payload leaves an existing file as it was."""
+    if path is None:
+        yield None
+        return
+    with _open_for_writing(path, "output file", "a") as fh:
+        yield fh
+
+
 def _write_output(args, text: str):
-    """Write ``text`` and a final newline to ``--output`` or stdout."""
-    if args.output:
-        with _open_for_writing(args.output, "output file") as fh:
-            fh.write(text)
-            fh.write("\n")
-    else:
-        sys.stdout.write(text)
-        sys.stdout.write("\n")
+    """Write ``text`` and a final newline to ``--output`` (replacing what the
+    file held) or stdout."""
+    out = args.output_file
+    if out is None:
+        out = sys.stdout
+    elif stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+        # only regular files can be truncated; devices and pipes take the
+        # payload as it is written
+        out.truncate(0)
+    out.write(text)
+    out.write("\n")
 
 
 def _csv_field(value) -> str:
@@ -303,7 +335,7 @@ def _cmd_check(args) -> int:
         raise _DataError(f"cannot read partition file: {e}") from None
     try:
         p = partition_from_json(text)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise _DataError(str(e)) from None
     report = validate_partition(p)
     payload: dict = {
@@ -410,7 +442,7 @@ def _cmd_verify(args) -> int:
         raise _DataError(f"cannot read certificate file: {e}") from None
     try:
         cert = analysis.certificate_from_dict(json.loads(text))
-    except (ValueError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:
         raise _DataError(f"malformed certificate: {e}") from None
     mod = _lipschitz(args, ast, cert.domain)
     if isinstance(cert, analysis.SignCertificate):
@@ -506,7 +538,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.run(args)
+        with _output_file(args.output) as args.output_file:
+            return args.run(args)
     except _DataError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
@@ -516,6 +549,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_DATA
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except RecursionError:
+        # some other recursion over the input ran past Python's limit, say
+        # a bisection driven toward the subnormals
+        print("error: input nested too deeply (recursion limit)", file=sys.stderr)
         return EXIT_DATA
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable
 
 from .errors import GaugekitError
@@ -314,75 +315,120 @@ def to_str(e: Expr) -> str:
 # --- Evaluation -------------------------------------------------------------
 
 
-def _finite(v: float, x: float) -> float:
-    if not math.isfinite(v):
-        raise EvalDomainError("evaluation overflowed binary64", x)
-    return v
+def as_function(e: Expr) -> Callable[[float], float]:
+    """Compile an AST once into a plain ``float -> float`` callable.
+
+    The callable is nested closures, one per node, that do the same binary64
+    operations in the same order as a walk over the tree would: operands
+    left to right except that a divisor is evaluated before its dividend,
+    with the finiteness check after every ``+ - * / ^``.  It raises
+    :class:`EvalDomainError` on log/sqrt/division domain violations or
+    overflow, with the point it was called at.
+    """
+    if isinstance(e, Lit):
+        value = e.value
+        return lambda x: value
+    if isinstance(e, Var):
+        return lambda x: x
+    if isinstance(e, Neg):
+        arg = as_function(e.arg)
+        return lambda x: -arg(x)
+    if isinstance(e, Add):
+        left, right = as_function(e.left), as_function(e.right)
+
+        def add(x):
+            v = left(x) + right(x)
+            if isfinite(v):
+                return v
+            raise EvalDomainError("evaluation overflowed binary64", x)
+        return add
+    if isinstance(e, Sub):
+        left, right = as_function(e.left), as_function(e.right)
+
+        def sub(x):
+            v = left(x) - right(x)
+            if isfinite(v):
+                return v
+            raise EvalDomainError("evaluation overflowed binary64", x)
+        return sub
+    if isinstance(e, Mul):
+        left, right = as_function(e.left), as_function(e.right)
+
+        def mul(x):
+            v = left(x) * right(x)
+            if isfinite(v):
+                return v
+            raise EvalDomainError("evaluation overflowed binary64", x)
+        return mul
+    if isinstance(e, Div):
+        left, right = as_function(e.left), as_function(e.right)
+
+        def div(x):
+            denom = right(x)
+            if denom == 0.0:
+                raise EvalDomainError("division by zero", x)
+            v = left(x) / denom
+            if isfinite(v):
+                return v
+            raise EvalDomainError("evaluation overflowed binary64", x)
+        return div
+    if isinstance(e, Pow):
+        base, n = as_function(e.base), e.exponent
+
+        def power(x):
+            b = base(x)
+            if b == 0.0 and n < 0:
+                raise EvalDomainError("zero raised to a negative power", x)
+            try:
+                v = b ** n
+            except OverflowError:
+                raise EvalDomainError("evaluation overflowed binary64", x) from None
+            if isfinite(v):
+                return v
+            raise EvalDomainError("evaluation overflowed binary64", x)
+        return power
+    if isinstance(e, Call) and e.fn in _FUNCS_2 and len(e.args) == 2:
+        fn = min if e.fn == "min" else max
+        a, b = as_function(e.args[0]), as_function(e.args[1])
+        return lambda x: fn(a(x), b(x))
+    if isinstance(e, Call) and e.fn in _FUNCS_1 and len(e.args) == 1:
+        arg = as_function(e.args[0])
+        if e.fn == "exp":
+            def exp(x):
+                try:
+                    return math.exp(arg(x))
+                except OverflowError:
+                    raise EvalDomainError("exp overflowed binary64", x) from None
+            return exp
+        if e.fn == "log":
+            def log(x):
+                v = arg(x)
+                if v <= 0.0:
+                    raise EvalDomainError(f"log of nonpositive value {v!r}", x)
+                return math.log(v)
+            return log
+        if e.fn == "sqrt":
+            def sqrt(x):
+                v = arg(x)
+                if v < 0.0:
+                    raise EvalDomainError(f"sqrt of negative value {v!r}", x)
+                return math.sqrt(v)
+            return sqrt
+        fn = {"sin": math.sin, "cos": math.cos, "abs": abs}[e.fn]
+        return lambda x: fn(arg(x))
+    raise TypeError(f"not an Expr node: {e!r}")
 
 
 def evaluate(e: Expr, x: float) -> float:
-    """Evaluate at a point in binary64.
+    """Evaluate at a point in binary64: ``as_function(e)(x)``.
+
+    This compiles ``e`` on every call; to evaluate one AST at many points,
+    compile it once with :func:`as_function`.
 
     Raises:
         EvalDomainError: on log/sqrt/division domain violations or overflow.
     """
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, x)
-    if isinstance(e, Add):
-        return _finite(evaluate(e.left, x) + evaluate(e.right, x), x)
-    if isinstance(e, Sub):
-        return _finite(evaluate(e.left, x) - evaluate(e.right, x), x)
-    if isinstance(e, Mul):
-        return _finite(evaluate(e.left, x) * evaluate(e.right, x), x)
-    if isinstance(e, Div):
-        denom = evaluate(e.right, x)
-        if denom == 0.0:
-            raise EvalDomainError("division by zero", x)
-        return _finite(evaluate(e.left, x) / denom, x)
-    if isinstance(e, Pow):
-        base = evaluate(e.base, x)
-        if base == 0.0 and e.exponent < 0:
-            raise EvalDomainError("zero raised to a negative power", x)
-        try:
-            return _finite(base ** e.exponent, x)
-        except OverflowError:
-            raise EvalDomainError("evaluation overflowed binary64", x) from None
-    if isinstance(e, Call):
-        args = [evaluate(a, x) for a in e.args]
-        fn = e.fn
-        if fn == "sin":
-            return math.sin(args[0])
-        if fn == "cos":
-            return math.cos(args[0])
-        if fn == "exp":
-            try:
-                return math.exp(args[0])
-            except OverflowError:
-                raise EvalDomainError("exp overflowed binary64", x) from None
-        if fn == "log":
-            if args[0] <= 0.0:
-                raise EvalDomainError(f"log of nonpositive value {args[0]!r}", x)
-            return math.log(args[0])
-        if fn == "sqrt":
-            if args[0] < 0.0:
-                raise EvalDomainError(f"sqrt of negative value {args[0]!r}", x)
-            return math.sqrt(args[0])
-        if fn == "abs":
-            return abs(args[0])
-        if fn == "min":
-            return min(args)
-        if fn == "max":
-            return max(args)
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-def as_function(e: Expr) -> Callable[[float], float]:
-    """Wrap an AST as a plain ``float -> float`` callable."""
-    return lambda x: evaluate(e, x)
+    return as_function(e)(x)
 
 
 # --- Interval evaluation ----------------------------------------------------
@@ -657,9 +703,18 @@ def lipschitz_bound(e: Expr, iv: Interval, *, floor: float = _LIPSCHITZ_FLOOR) -
 
 @dataclass(frozen=True)
 class ExprGauge(Gauge):
-    """Gauge defined by an expression in x."""
+    """Gauge defined by an expression in x, compiled once at construction."""
 
     ast: Expr
 
+    def __post_init__(self):
+        # the compiled callable is not a field, so equality, hash and repr
+        # see the AST alone
+        object.__setattr__(self, "_function", as_function(self.ast))
+
+    def __reduce__(self):
+        # closures cannot be pickled: rebuild from the AST, which recompiles
+        return type(self), (self.ast,)
+
     def value_at(self, x: float) -> float:
-        return evaluate(self.ast, x)
+        return self._function(x)

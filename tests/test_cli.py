@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gaugekit import analysis, expr
+from gaugekit import analysis, cousin, expr
 from gaugekit.cli import (
     EXIT_CANTCREAT,
     EXIT_CAP_EXCEEDED,
@@ -441,3 +441,113 @@ class TestDeterminismAndMisc:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["cells"]
+
+
+_TOO_DEEP = {"sum-5000": "+".join(["x"] * 5000),
+             "parens-1000": "(" * 1000 + "x" + ")" * 1000,
+             "sin-1000": "sin(" * 1000 + "x" + ")" * 1000}
+
+
+class TestDeepNesting:
+    FLAGS = {
+        "root": lambda f: ["root", "--f", f, "--y", "0.5", "--interval", "0", "1"],
+        "certify": lambda f: ["certify", "--f", f, "--bound", "1e9", "--interval", "0", "1"],
+        "extremum": lambda f: ["extremum", "--max", "--f", f, "--interval", "0", "1"],
+        "gauge": lambda f: ["partition", "--gauge", "expr:0.1+" + f, "--interval", "0", "1"],
+    }
+
+    @pytest.mark.parametrize("shape", sorted(_TOO_DEEP))
+    @pytest.mark.parametrize("where", sorted(FLAGS))
+    def test_too_deep_is_a_data_error(self, capsys, where, shape):
+        code, out, err = run_cli(capsys, *self.FLAGS[where](_TOO_DEEP[shape]))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == "error: expression nested too deeply\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["root", "--f", "+".join(["x"] * 500), "--y", "250", "--interval", "0", "1"],
+        ["root", "--f", "(" * 100 + "x" + ")" * 100, "--y", "0.5", "--interval", "0", "1"],
+        ["partition", "--gauge", "expr:0.1+" + "+".join(["x"] * 500), "--interval", "0", "1"],
+        ["partition", "--gauge", "expr:0.1+" + "(" * 100 + "x" + ")" * 100,
+         "--interval", "0", "1"],
+    ], ids=["root-sum-500", "root-parens-100", "gauge-sum-500", "gauge-parens-100"])
+    def test_moderate_depth_still_runs(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--partition", "{path}", "--gauge", "const:1"],
+        ["verify", "--certificate", "{path}", "--f", "x"],
+    ])
+    def test_deeply_nested_json_is_a_data_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("error: ") and "recursion" in err and err.count("\n") == 1
+
+
+    def test_other_deep_recursion_does_not_blame_an_expression(self, capsys):
+        # bisecting toward a gauge of 1e-300 recurses about 1,000 levels deep
+        code, out, err = run_cli(capsys, "partition", "--gauge", "const:1e-300",
+                                 "--strategy", "bisect", "--max-depth", "2000",
+                                 "--interval", "0", "1")
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == "error: input nested too deeply (recursion limit)\n"
+
+
+class TestOutputOpenedFirst:
+    @pytest.mark.parametrize("argv,module,name", [
+        (["partition", "--gauge", "const:0.3", "--interval", "0", "1"],
+         cousin, "fine_partition"),
+        (["certify", "--f", "sin(x)", "--bound", "1.5", "--interval", "0", "3"],
+         analysis, "bound_certificate"),
+    ])
+    def test_unwritable_output_fails_before_the_run(self, capsys, tmp_path, monkeypatch,
+                                                    argv, module, name):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{name} ran before --output was opened")
+
+        monkeypatch.setattr(module, name, must_not_run)
+        bad = str(tmp_path / "missing" / "x.out")
+        code, out, err = run_cli(capsys, *argv, "--output", bad)
+        assert code == EXIT_CANTCREAT
+        assert out == ""
+        assert err.startswith("error: cannot write output file") and err.count("\n") == 1
+
+    def test_run_without_payload_leaves_the_file(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("keep\n")
+        code, out, _ = run_cli(capsys, "root", "--f", "log(x)", "--interval", "0", "1",
+                               "--output", str(path))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert path.read_text() == "keep\n"
+
+    def test_output_to_a_device(self, capsys):
+        code, out, _ = run_cli(capsys, "partition", "--gauge", "const:0.3",
+                               "--interval", "0", "1", "--output", "/dev/null")
+        assert code == EXIT_OK
+        assert out == ""
+
+    def test_output_to_a_pipe(self, tmp_path):
+        # /dev/stdout on a pipe cannot be truncated; the payload still goes through
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaugekit", "partition", "--gauge", "const:0.5",
+             "--interval", "0", "1", "--output", "/dev/stdout"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["cells"]
+
+    def test_payload_replaces_a_longer_file(self, capsys, tmp_path):
+        argv = ["partition", "--gauge", "const:0.3", "--interval", "0", "1"]
+        _, expected, _ = run_cli(capsys, *argv)
+        path = tmp_path / "out.json"
+        path.write_text("z" * 10_000)
+        code, out, _ = run_cli(capsys, *argv, "--output", str(path))
+        assert code == EXIT_OK
+        assert out == ""
+        assert path.read_text() == expected
