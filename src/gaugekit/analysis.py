@@ -228,10 +228,41 @@ def _sample_grid(dom: Interval) -> list[float]:
     return pts
 
 
-def _raise_if_cap(diag: StallDiagnostic):
-    if diag.reason is StallReason.CAP_EXCEEDED:
-        raise CapExceededError(
-            f"step budget exhausted at frontier {diag.frontier!r}")
+def _one_sided_creep(f: Fn, target: float, dom: Interval, mod: ModulusOfContinuity,
+                     policy: InductionPolicy | None, trace: list | None, bound: bool,
+                     ) -> Union[tuple[CertificatePiece, ...], StallDiagnostic]:
+    """The creep behind both one-sided certificates: pieces of radius
+    step(|f(s) - target| / 2), all on one side of target, or the stall.
+    f(s) == target raises TargetHitExactlyError; with ``bound`` set, any
+    f(s) >= target raises BoundViolatedError instead."""
+    b = dom.hi
+
+    def right(s: float):
+        fs = f(s)
+        if bound:
+            if fs >= target:
+                raise BoundViolatedError(s, fs)
+        elif fs == target:
+            raise TargetHitExactlyError(s)
+        delta = mod.checked_step(abs(fs - target) / 2.0)
+        t = min(b, s + delta)
+        if t <= s:
+            return None
+        cell = Interval(s, t)
+        return t, Witness(cell, CertificatePiece(cell, s, fs, delta))
+
+    def combine(w1: Witness, w2: Witness):
+        if (w1.payload.value < target) is not (w2.payload.value < target):
+            return Incompatible(f"side flips across {w2.interval.lo!r}")
+        return None
+
+    result = run_induction(LocalOracle(right, combine), dom, policy or InductionPolicy(),
+                           trace=trace)
+    if isinstance(result, StallDiagnostic):
+        if result.reason is StallReason.CAP_EXCEEDED:
+            raise CapExceededError(f"step budget exhausted at frontier {result.frontier!r}")
+        return result
+    return tuple(leaf.payload for leaf in result.leaves)
 
 
 # --- Sign certification / IVT -----------------------------------------------
@@ -254,32 +285,10 @@ def no_root_certificate(f: Fn, y: float, dom: Interval, mod: ModulusOfContinuity
         TargetHitExactlyError: if f(s) == y is evaluated.
         MalformedModulusError, CapExceededError
     """
-    policy = policy or InductionPolicy()
-    b = dom.hi
-
-    def right(s: float):
-        fs = f(s)
-        if fs == y:
-            raise TargetHitExactlyError(s)
-        side = Side.BELOW if fs < y else Side.ABOVE
-        delta = mod.checked_step(abs(fs - y) / 2.0)
-        t = min(b, s + delta)
-        if t <= s:
-            return None
-        cell = Interval(s, t)
-        return t, Witness(cell, (side, CertificatePiece(cell, s, fs, delta)))
-
-    def combine(w1: Witness, w2: Witness):
-        if w1.payload[0] is not w2.payload[0]:
-            return Incompatible(f"side flips across {w2.interval.lo!r}")
-        return None
-
-    result = run_induction(LocalOracle(right, combine), dom, policy, trace=trace)
-    if isinstance(result, StallDiagnostic):
-        _raise_if_cap(result)
-        return StallAtRoot(result.frontier, result)
-    pieces = tuple(leaf.payload[1] for leaf in result.leaves)
-    return SignCertificate(y, result.leaves[0].payload[0], pieces)
+    pieces = _one_sided_creep(f, y, dom, mod, policy, trace, False)
+    if isinstance(pieces, StallDiagnostic):
+        return StallAtRoot(pieces.frontier, pieces)
+    return SignCertificate(y, Side.BELOW if pieces[0].value < y else Side.ABOVE, pieces)
 
 
 def find_root(f: Fn, y: float, dom: Interval, mod: ModulusOfContinuity,
@@ -340,9 +349,6 @@ def bound_certificate(f: Fn, bound: float, dom: Interval, mod: ModulusOfContinui
         BoundViolatedError: if f(s) >= bound is observed.
         MalformedModulusError, CapExceededError
     """
-    policy = policy or InductionPolicy()
-    b = dom.hi
-
     worst_x, worst_v = dom.lo, -math.inf
     for x in _sample_grid(dom):
         v = f(x)
@@ -351,25 +357,9 @@ def bound_certificate(f: Fn, bound: float, dom: Interval, mod: ModulusOfContinui
     if worst_v >= bound:
         raise BoundViolatedError(worst_x, worst_v)
 
-    def right(s: float):
-        fs = f(s)
-        if fs >= bound:
-            raise BoundViolatedError(s, fs)
-        delta = mod.checked_step((bound - fs) / 2.0)
-        t = min(b, s + delta)
-        if t <= s:
-            return None
-        cell = Interval(s, t)
-        return t, Witness(cell, CertificatePiece(cell, s, fs, delta))
-
-    def combine(w1: Witness, w2: Witness):
-        return None  # every leaf stands on its own
-
-    result = run_induction(LocalOracle(right, combine), dom, policy, trace=trace)
-    if isinstance(result, StallDiagnostic):
-        _raise_if_cap(result)
-        return StallNearMax(result.frontier, result)
-    pieces = tuple(leaf.payload for leaf in result.leaves)
+    pieces = _one_sided_creep(f, bound, dom, mod, policy, trace, True)
+    if isinstance(pieces, StallDiagnostic):
+        return StallNearMax(pieces.frontier, pieces)
     return BoundCertificate(bound, pieces)
 
 
@@ -494,10 +484,12 @@ def approx_inf(f: Fn, dom: Interval, mod: ModulusOfContinuity, tol: float, *,
 
 
 def _replay_pieces(pieces: tuple[CertificatePiece, ...], f: Fn,
-                   mod: ModulusOfContinuity,
-                   gap_of: Callable[[float], float]) -> bool:
+                   mod: ModulusOfContinuity, target: float, side: Side) -> bool:
+    """Replay the pieces of a certificate that f stays on ``side`` of
+    ``target``: a bound certificate is the ``below`` case."""
     if not pieces:
         return False
+    below = side is Side.BELOW
     prev_hi = None
     for p in pieces:
         if not p.cell.lo < p.cell.hi:
@@ -509,7 +501,7 @@ def _replay_pieces(pieces: tuple[CertificatePiece, ...], f: Fn,
             return False
         if f(p.sample) != p.value:
             return False
-        gap = gap_of(p.value)
+        gap = target - p.value if below else p.value - target
         if not gap > 0.0:
             return False
         try:
@@ -523,17 +515,13 @@ def _replay_pieces(pieces: tuple[CertificatePiece, ...], f: Fn,
 def verify_sign_certificate(cert: SignCertificate, f: Fn,
                             mod: ModulusOfContinuity) -> bool:
     """Replay a sign certificate from scratch; True iff every check holds."""
-    if cert.side is Side.BELOW:
-        gap_of = lambda v: cert.target - v
-    else:
-        gap_of = lambda v: v - cert.target
-    return _replay_pieces(cert.pieces, f, mod, gap_of)
+    return _replay_pieces(cert.pieces, f, mod, cert.target, cert.side)
 
 
 def verify_bound_certificate(cert: BoundCertificate, f: Fn,
                              mod: ModulusOfContinuity) -> bool:
     """Replay a bound certificate from scratch; True iff every check holds."""
-    return _replay_pieces(cert.pieces, f, mod, lambda v: cert.bound - v)
+    return _replay_pieces(cert.pieces, f, mod, cert.bound, Side.BELOW)
 
 
 # --- JSON wire format ---------------------------------------------------------

@@ -242,13 +242,9 @@ def _flat_items(payload: dict, prefix: str = ""):
 def _emit(args, payload: dict, human: str | None = None):
     """Write a small payload: indented JSON, one csv row, or ``human`` (the
     JSON again when there is none)."""
-    if args.format == "csv":
-        flat = dict(_flat_items(payload))
-        _write_csv(args, list(flat), [list(flat.values())])
-    elif args.format == "human" and human is not None:
-        _write_output(args, human)
-    else:
-        _write_output(args, json.dumps(payload, indent=2))
+    flat = dict(_flat_items(payload))
+    _emit_artifact(args, lambda: json.dumps(payload, indent=2), list(flat),
+                   lambda: [list(flat.values())], None if human is None else lambda: human)
 
 
 def _emit_artifact(args, to_json: Callable[[], str], header: list[str],
@@ -398,31 +394,26 @@ def _cmd_certify(args) -> int:
     dom = _parse_interval(args.interval)
     ast, f = _parsed_function(args.f)
     mod = _lipschitz(args, ast, dom)
+    if args.no_root is not None:
+        produce, verify, target = (analysis.no_root_certificate,
+                                   analysis.verify_sign_certificate, args.no_root)
+    else:
+        produce, verify, target = (analysis.bound_certificate,
+                                   analysis.verify_bound_certificate, args.bound)
     with _step_trace(args.trace) as trace:
         try:
-            if args.no_root is not None:
-                result = analysis.no_root_certificate(f, args.no_root, dom, mod,
-                                                      _policy(args), trace=trace)
-                if isinstance(result, analysis.StallAtRoot):
-                    _emit(args, {"error": "stall", "stall_point": result.point,
-                                 "reason": result.diagnostic.reason.value})
-                    return EXIT_CERTIFY_FAILED
-                verified = analysis.verify_sign_certificate(result, f, mod)
-            else:
-                result = analysis.bound_certificate(f, args.bound, dom, mod,
-                                                    _policy(args), trace=trace)
-                if isinstance(result, analysis.StallNearMax):
-                    _emit(args, {"error": "stall", "stall_point": result.point,
-                                 "reason": result.diagnostic.reason.value})
-                    return EXIT_CERTIFY_FAILED
-                verified = analysis.verify_bound_certificate(result, f, mod)
+            result = produce(f, target, dom, mod, _policy(args), trace=trace)
         except analysis.TargetHitExactlyError as hit:
             _emit(args, {"error": "target_hit_exactly", "x": hit.x})
             return EXIT_CERTIFY_FAILED
         except analysis.BoundViolatedError as hit:
             _emit(args, {"error": "bound_violated", "x": hit.x, "value": hit.value})
             return EXIT_CERTIFY_FAILED
-    if not verified:
+        if isinstance(result, (analysis.StallAtRoot, analysis.StallNearMax)):
+            _emit(args, {"error": "stall", "stall_point": result.point,
+                         "reason": result.diagnostic.reason.value})
+            return EXIT_CERTIFY_FAILED
+    if not verify(result, f, mod):
         print("internal error: produced certificate failed its own checker",
               file=sys.stderr)
         return EXIT_INTERNAL
@@ -445,10 +436,9 @@ def _cmd_verify(args) -> int:
     except (ValueError, RecursionError) as e:
         raise _DataError(f"malformed certificate: {e}") from None
     mod = _lipschitz(args, ast, cert.domain)
-    if isinstance(cert, analysis.SignCertificate):
-        ok = analysis.verify_sign_certificate(cert, f, mod)
-    else:
-        ok = analysis.verify_bound_certificate(cert, f, mod)
+    verify = (analysis.verify_sign_certificate if isinstance(cert, analysis.SignCertificate)
+              else analysis.verify_bound_certificate)
+    ok = verify(cert, f, mod)
     _emit(args, {"verified": ok})
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -540,14 +530,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with _output_file(args.output) as args.output_file:
             return args.run(args)
-    except _DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (expr.ParseError, expr.EvalDomainError, expr.NotDifferentiableError,
-            GaugeNonpositiveError, analysis.MalformedModulusError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as e:
+    except (_DataError, ValueError, expr.ParseError, expr.EvalDomainError,
+            expr.NotDifferentiableError, GaugeNonpositiveError,
+            analysis.MalformedModulusError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except RecursionError:

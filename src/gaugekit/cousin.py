@@ -94,10 +94,10 @@ def creep_partition(gauge: GaugeLike, dom: Interval, *,
         ValueError: if dom is degenerate.
         GaugeNonpositiveError: if the gauge is not positive somewhere.
     """
-    g = as_gauge(gauge)
     a, b = dom.lo, dom.hi
     if not a < b:
         raise ValueError(f"domain must be nondegenerate, got [{a!r}, {b!r}]")
+    g = as_gauge(gauge)
     delta_b = g(b)
     cells: list[TaggedInterval] = []
     s = a
@@ -133,10 +133,10 @@ def bisect_partition(gauge: GaugeLike, dom: Interval, *,
         ValueError: if dom is degenerate.
         GaugeNonpositiveError: if the gauge is not positive somewhere.
     """
-    g = as_gauge(gauge)
     a, b = dom.lo, dom.hi
     if not a < b:
         raise ValueError(f"domain must be nondegenerate, got [{a!r}, {b!r}]")
+    g = as_gauge(gauge)
     cells: list[TaggedInterval] = []
 
     def cover(u: float, v: float, depth: int) -> Interval | None:
@@ -171,25 +171,16 @@ def fine_partition(gauge: GaugeLike, dom: Interval,
         ValueError: if dom is degenerate.
         GaugeNonpositiveError: if the gauge is not positive somewhere.
     """
-    if not dom.lo < dom.hi:
-        raise ValueError(f"domain must be nondegenerate, got [{dom.lo!r}, {dom.hi!r}]")
-    kind = strategy.kind
-    if kind is StrategyKind.GREEDY_CREEP:
-        result = creep_partition(gauge, dom, max_cells=strategy.max_cells)
-        if isinstance(result, Stall):
-            return PartitionFailure(stall=result)
-        return result
-    if kind is StrategyKind.BISECTION:
-        result = bisect_partition(gauge, dom, max_depth=strategy.max_depth,
-                                  max_cells=strategy.max_cells)
-        if isinstance(result, DepthExceeded):
-            return PartitionFailure(depth_exceeded=result)
-        return result
-    first = creep_partition(gauge, dom, max_cells=strategy.max_cells)
-    if isinstance(first, TaggedPartition):
-        return first
+    stall = None
+    if strategy.kind is not StrategyKind.BISECTION:
+        first = creep_partition(gauge, dom, max_cells=strategy.max_cells)
+        if isinstance(first, TaggedPartition):
+            return first
+        if strategy.kind is StrategyKind.GREEDY_CREEP:
+            return PartitionFailure(stall=first)
+        stall = first
     second = bisect_partition(gauge, dom, max_depth=strategy.max_depth,
                               max_cells=strategy.max_cells)
     if isinstance(second, DepthExceeded):
-        return PartitionFailure(stall=first, depth_exceeded=second)
+        return PartitionFailure(stall=stall, depth_exceeded=second)
     return second

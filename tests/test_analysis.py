@@ -31,7 +31,7 @@ from gaugekit.analysis import (
     verify_sign_certificate,
 )
 from gaugekit.errors import CapExceededError
-from gaugekit.induction import InductionPolicy
+from gaugekit.induction import InductionPolicy, StallReason
 from gaugekit.intervals import Interval
 
 
@@ -168,6 +168,35 @@ class TestBoundCertificate:
             cert = bound_certificate(math.sin, bound, dom, Lipschitz(1.0))
             sizes.append(len(cert.pieces))
         assert sizes == sorted(sizes, reverse=True)
+
+
+class TestInvalidModulus:
+    """A modulus that is wrong for f: what sign and bound certification each
+    make of a jump the creep steps onto."""
+
+    @staticmethod
+    def _spike(height):
+        # between the bound pre-scan's grid points 32/65 and 33/65
+        return lambda x: height if 0.5 <= x <= 0.505 else 0.0
+
+    def test_sign_flip_stalls_at_the_jump(self):
+        result = no_root_certificate(lambda x: 1.0 if x < 0.5 else -1.0, 0.0,
+                                     Interval(0, 1), Lipschitz(1.0))
+        assert isinstance(result, StallAtRoot)
+        assert result.point == 0.5
+        assert result.diagnostic.reason is StallReason.COMBINE_INCOMPATIBLE
+        assert result.diagnostic.incompatible.reason == "side flips across 0.5"
+        assert result.diagnostic.step_history == ((0.0, 0.5),)
+
+    def test_spike_past_the_grid_violates_the_bound(self):
+        with pytest.raises(BoundViolatedError) as exc:
+            bound_certificate(self._spike(2.0), 1.0, Interval(0, 1), Lipschitz(1.0))
+        assert (exc.value.x, exc.value.value) == (0.5, 2.0)
+
+    def test_spike_at_the_bound_is_a_violation_not_a_hit(self):
+        with pytest.raises(BoundViolatedError) as exc:
+            bound_certificate(self._spike(1.0), 1.0, Interval(0, 1), Lipschitz(1.0))
+        assert (exc.value.x, exc.value.value) == (0.5, 1.0)
 
 
 class TestApproxSup:

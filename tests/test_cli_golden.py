@@ -3,8 +3,8 @@
 ``golden/cli.json`` maps ``"<case>.<format>"`` to the exit code and the
 exact stdout of that run; ``--output PATH`` must write the same bytes to
 the file and nothing to stdout.  ``check`` and ``verify`` read the
-partition and certificate that the pinned ``partition-const.json`` and
-``certify-bound.json`` runs printed.
+partition and certificates that the pinned runs named in ``INPUTS``
+printed as JSON.
 
 To rewrite the pinned file after a deliberate output change:
 
@@ -40,14 +40,22 @@ CASES = {
     "certify-violated": ["certify", "--f", "sin(x)", "--bound", "0.9",
                          "--interval", "0", "3.14159"],
     "certify-stall": ["certify", "--f", "x^2-2", "--no-root", "0", "--interval", "1", "2"],
+    "certify-bound-stall": ["certify", "--f", "x", "--bound", "1.0000000000001",
+                            "--interval", "0", "1"],
+    "certify-hit": ["certify", "--f", "x", "--no-root", "0", "--interval", "0", "1"],
     "check-ok": ["check", "--partition", "{partition}", "--gauge", "const:0.3"],
     "check-unfine": ["check", "--partition", "{partition}", "--gauge", "const:0.2"],
     "verify-ok": ["verify", "--certificate", "{certificate}", "--f", "sin(x)"],
+    "verify-above": ["verify", "--certificate", "{above}", "--f", "x"],
     "root": ["root", "--f", "x^2-2", "--y", "0", "--interval", "1", "2"],
     "root-no-sign-change": ["root", "--f", "x^2+1", "--interval", "-1", "1"],
     "extremum": ["extremum", "--max", "--f", "sin(x)", "--interval", "0", PI,
                  "--tol", "1e-4"],
 }
+
+# input file name -> the case whose JSON stdout it holds
+INPUTS = {"partition": "partition-const", "certificate": "certify-bound",
+          "above": "certify-above"}
 
 
 def _argv(case: str, fmt: str, inputs: dict[str, str]) -> list[str]:
@@ -66,11 +74,10 @@ def golden() -> dict:
 
 @pytest.fixture
 def inputs(golden, tmp_path) -> dict[str, str]:
-    files = {"partition": "partition-const.json", "certificate": "certify-bound.json"}
     out = {}
-    for key, name in files.items():
+    for key, case in INPUTS.items():
         path = tmp_path / f"{key}.json"
-        path.write_text(golden[name]["stdout"])
+        path.write_text(golden[f"{case}.json"]["stdout"])
         out[key] = str(path)
     return out
 
@@ -115,20 +122,18 @@ def _regenerate():
 
     pinned: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = {"partition": f"{tmp}/partition.json", "certificate": f"{tmp}/certificate.json"}
+        inputs = {key: f"{tmp}/{key}.json" for key in INPUTS}
         # the check and verify inputs come first so later cases can read them
-        order = ["partition-const", "certify-bound"] + [c for c in CASES if c not in
-                                                         ("partition-const", "certify-bound")]
-        for case in order:
+        first = list(INPUTS.values())
+        for case in first + [c for c in CASES if c not in first]:
             for fmt in FORMATS:
                 buf = io.StringIO()
                 with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
                     code = main(_argv(case, fmt, inputs))
                 pinned[f"{case}.{fmt}"] = {"exit": code, "stdout": buf.getvalue()}
-            if case == "partition-const":
-                pathlib.Path(inputs["partition"]).write_text(pinned[f"{case}.json"]["stdout"])
-            if case == "certify-bound":
-                pathlib.Path(inputs["certificate"]).write_text(pinned[f"{case}.json"]["stdout"])
+            for key, source in INPUTS.items():
+                if case == source:
+                    pathlib.Path(inputs[key]).write_text(pinned[f"{case}.json"]["stdout"])
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     changed = sorted(k for k in pinned.keys() | old.keys() if pinned.get(k) != old.get(k))
     print("\n".join(changed) if changed else "no change")
