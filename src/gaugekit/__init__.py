@@ -72,7 +72,6 @@ from .induction import (
     combine_adjacent,
     run_induction,
     verify_witness,
-    witness_leaves,
 )
 from .intervals import (
     ConstantGauge,

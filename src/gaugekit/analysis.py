@@ -578,9 +578,11 @@ def certificate_from_dict(data: dict) -> Union[SignCertificate, BoundCertificate
                          num(p, "s"), num(p, "fs"), num(p, "delta"))
         for p in raw_pieces
     )
-    if kind == "bound":
-        return BoundCertificate(target, pieces)
     side_raw = data.get("side")
+    if kind == "bound":
+        if side_raw != Side.BELOW.value:
+            raise ValueError(f"bound certificate side must be 'below', got {side_raw!r}")
+        return BoundCertificate(target, pieces)
     try:
         side = Side(side_raw)
     except ValueError:

@@ -18,8 +18,9 @@ Exit codes:
     65  unparseable input data (expressions, gauges, files, domains),
         including input nested past the recursion limit
     70  internal error: a produced artifact failed its own checker
-    73  cannot write the --output or --trace file; both are opened before
-        the run, and --output is only replaced once there is a payload
+    73  cannot write stdout, or the --output or --trace file; both files
+        are opened before the run, and --output is only replaced once
+        there is a payload
 """
 
 from __future__ import annotations
@@ -135,10 +136,13 @@ def _parse_interval(values: Sequence[float]) -> Interval:
     return dom
 
 
-def _env_max_steps() -> int | None:
+def _budget(flag: int | None, default: int) -> int:
+    """The flag if it was given, else GAUGEKIT_MAX_STEPS if set, else ``default``."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(ENV_MAX_STEPS)
     if raw is None:
-        return None
+        return default
     try:
         n = int(raw)
     except ValueError:
@@ -149,10 +153,7 @@ def _env_max_steps() -> int | None:
 
 
 def _policy(args) -> InductionPolicy:
-    max_steps = getattr(args, "max_steps", None) or _env_max_steps()
-    if max_steps is not None:
-        return InductionPolicy(max_steps=max_steps)
-    return InductionPolicy()
+    return InductionPolicy(max_steps=_budget(args.max_steps, InductionPolicy.max_steps))
 
 
 def _parsed_function(text: str):
@@ -208,6 +209,7 @@ def _write_output(args, text: str):
         out.truncate(0)
     out.write(text)
     out.write("\n")
+    out.flush()  # so a stdout whose reader has gone fails here, not at exit
 
 
 def _csv_field(value) -> str:
@@ -294,12 +296,9 @@ def _self_check_partition(p: TaggedPartition, gauge: Gauge) -> str | None:
 def _cmd_partition(args) -> int:
     gauge = _parse_gauge_spec(args.gauge)
     dom = _parse_interval(args.interval)
-    kinds = {"creep": cousin.StrategyKind.GREEDY_CREEP,
-             "bisect": cousin.StrategyKind.BISECTION,
-             "hybrid": cousin.StrategyKind.HYBRID}
-    max_cells = args.max_cells or _env_max_steps() or cousin.DEFAULT_MAX_CELLS
-    strategy = cousin.PartitionStrategy(kinds[args.strategy], max_cells=max_cells,
-                                        max_depth=args.max_depth)
+    max_cells = _budget(args.max_cells, cousin.DEFAULT_MAX_CELLS)
+    strategy = cousin.PartitionStrategy(cousin.StrategyKind(args.strategy),
+                                        max_cells=max_cells, max_depth=args.max_depth)
     result = cousin.fine_partition(gauge, dom, strategy)
     if isinstance(result, cousin.PartitionFailure):
         payload: dict = {"status": "failed"}
@@ -545,6 +544,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CAP_EXCEEDED
     except _CantCreateError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CANTCREAT
+    except BrokenPipeError as e:
+        print(f"error: cannot write stdout: {e}", file=sys.stderr)
+        # what is still buffered would fail again when the interpreter
+        # flushes stdout at exit; a stream with no descriptor is left alone
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         return EXIT_CANTCREAT
 
 

@@ -277,7 +277,7 @@ def _prec(e: Expr) -> int:
         return _PREC_MUL
     if isinstance(e, Neg):
         return _PREC_NEG
-    if isinstance(e, Lit) and e.value < 0:
+    if isinstance(e, Lit) and math.copysign(1.0, e.value) < 0:
         return _PREC_NEG  # prints with a leading minus
     if isinstance(e, Pow):
         return _PREC_POW
@@ -687,18 +687,18 @@ def differentiate(e: Expr) -> Expr:
 _LIPSCHITZ_FLOOR = 1e-300
 
 
-def lipschitz_bound(e: Expr, iv: Interval, *, floor: float = _LIPSCHITZ_FLOOR) -> float:
+def lipschitz_bound(e: Expr, iv: Interval) -> float:
     """A valid Lipschitz constant for e on iv, from the derivative enclosure.
 
     L = max(|lo|, |hi|) of ``eval_interval(differentiate(e), iv)``, floored
-    at ``floor`` so it is always positive.  Sound by the mean value theorem
+    at 1e-300 so it is always positive.  Sound by the mean value theorem
     plus enclosure soundness; the dependency problem can only make L larger.
 
     Raises:
         NotDifferentiableError, EvalDomainError
     """
     enc = eval_interval(differentiate(e), iv)
-    return max(abs(enc.lo), abs(enc.hi), floor)
+    return max(abs(enc.lo), abs(enc.hi), _LIPSCHITZ_FLOOR)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ answer (a root, a near-maximum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .errors import GaugekitError
 from .intervals import Interval
@@ -42,7 +42,7 @@ class Witness:
 
     interval: Interval
     payload: Any = None
-    leaves: Optional[tuple["Witness", ...]] = field(default=None, repr=False)
+    leaves: Optional[tuple["Witness", ...]] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -51,18 +51,6 @@ class Witness:
     def __repr__(self) -> str:
         shape = "leaf" if self.is_leaf else "combined"
         return f"Witness([{self.interval.lo!r}, {self.interval.hi!r}], {shape})"
-
-
-def witness_leaves(w: Witness) -> Iterator[Witness]:
-    """Yield the leaves left to right, descending into any leaf that is
-    itself combined (iteratively: nesting can be deep)."""
-    stack = [w]
-    while stack:
-        node = stack.pop()
-        if node.leaves is None:
-            yield node
-        else:
-            stack.extend(reversed(node.leaves))
 
 
 @dataclass(frozen=True)
@@ -268,25 +256,16 @@ def verify_witness(w: Witness, dom: Interval,
                    leaf_check: Callable[[Witness], bool]) -> bool:
     """Independently replay a witness.
 
-    True iff ``w`` spans ``dom`` exactly, the leaves of every combined
-    witness tile its interval left to right, and every leaf passes
-    ``leaf_check``.  Iterative, so arbitrarily deep nesting is fine.
+    True iff ``w`` spans ``dom`` exactly, its leaves (``w`` itself when it
+    has none) tile ``dom`` left to right, and each leaf passes
+    ``leaf_check``.  Leaves are not descended into: a combined witness that
+    an oracle returned as a leaf is handed to ``leaf_check`` whole.
     """
     if w.interval.lo != dom.lo or w.interval.hi != dom.hi:
         return False
-    stack = [w]
-    while stack:
-        node = stack.pop()
-        if node.leaves is None:
-            if not leaf_check(node):
-                return False
-            continue
-        edge = node.interval.lo
-        for leaf in node.leaves:
-            if leaf.interval.lo != edge:
-                return False
-            edge = leaf.interval.hi
-        if edge != node.interval.hi:
+    edge = dom.lo
+    for leaf in (w,) if w.leaves is None else w.leaves:
+        if leaf.interval.lo != edge or not leaf_check(leaf):
             return False
-        stack.extend(reversed(node.leaves))
-    return True
+        edge = leaf.interval.hi
+    return edge == dom.hi

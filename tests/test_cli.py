@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -313,6 +315,24 @@ class TestCertifyVerify:
         assert path.read_text() == "".join(json.dumps({"s": s, "t": t}) + "\n"
                                            for s, t in steps)
 
+    @pytest.mark.parametrize("side", ["above", 17, None])
+    def test_bound_certificate_side_must_be_below(self, capsys, tmp_path, side):
+        path = tmp_path / "cert.json"
+        run_cli(capsys, "certify", "--f", "sin(x)", "--bound", "1.5",
+                "--interval", "0", "3.141592653589793", "--output", str(path))
+        data = json.loads(path.read_text())
+        assert data["side"] == "below"
+        if side is None:
+            del data["side"]
+        else:
+            data["side"] = side
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "verify", "--certificate", str(path),
+                                 "--f", "sin(x)")
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "side must be 'below'" in err
+
     def test_malformed_certificate(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         path.write_text('{"kind": "sign"}')
@@ -415,6 +435,23 @@ class TestDeterminismAndMisc:
         assert code == EXIT_PARTITION_FAILED
         assert json.loads(out)["stall"]["cells_emitted"] == 10
 
+    @pytest.mark.parametrize("env", [None, "10"])
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--gauge", "const:1e-5", "--interval", "0", "1", "--strategy", "creep",
+         "--max-cells", "0"],
+        ["root", "--f", "x", "--y", "0.5", "--interval", "0", "1", "--max-steps", "0"],
+        ["certify", "--f", "x", "--no-root", "2", "--interval", "0", "1", "--max-steps", "0"],
+    ])
+    def test_zero_budget_is_rejected(self, capsys, monkeypatch, env, argv):
+        if env is None:
+            monkeypatch.delenv("GAUGEKIT_MAX_STEPS", raising=False)
+        else:
+            monkeypatch.setenv("GAUGEKIT_MAX_STEPS", env)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "caps must be positive" in err
+
     def test_env_max_steps_invalid(self, capsys, monkeypatch):
         monkeypatch.setenv("GAUGEKIT_MAX_STEPS", "zero")
         code, _, _ = run_cli(capsys, "root", "--f", "x", "--y", "0.5",
@@ -441,6 +478,34 @@ class TestDeterminismAndMisc:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["cells"]
+
+
+class TestClosedStdout:
+    def test_in_process(self, capsys, monkeypatch):
+        class ClosedPipe(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["partition", "--gauge", "const:0.3", "--interval", "0", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CANTCREAT
+        assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    def test_reader_gone(self):
+        # with stdout buffered, the write fails at the flush rather than at write()
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gaugekit", "partition", "--gauge", "const:0.3",
+                 "--interval", "0", "1"],
+                stdout=w, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(w)
+        assert proc.returncode == EXIT_CANTCREAT
+        assert proc.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 _TOO_DEEP = {"sum-5000": "+".join(["x"] * 5000),

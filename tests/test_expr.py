@@ -272,6 +272,11 @@ class TestRoundTrip:
     def test_parse_of_print_is_identity(self, e):
         assert parse(to_str(e)) == e
 
+    def test_negative_zero_base_is_parenthesized(self):
+        e = Pow(Lit(-0.0), 0)
+        assert to_str(e) == "(-0.0)^0"
+        assert parse(to_str(e)) == e
+
 
 class TestExprGauge:
     def test_positive_evaluation(self):

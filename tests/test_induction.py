@@ -11,7 +11,6 @@ from gaugekit.induction import (
     combine_adjacent,
     run_induction,
     verify_witness,
-    witness_leaves,
 )
 from gaugekit.intervals import Interval
 
@@ -49,13 +48,13 @@ class TestSuccess:
         result = run_induction(LocalOracle(_fixed_step(0.3), combine_adjacent), UNIT)
         assert isinstance(result, Witness)
         assert result.interval == UNIT
-        leaves = list(witness_leaves(result))
+        leaves = result.leaves
         assert len(leaves) == 4
         assert leaves[0].interval.lo == 0.0 and leaves[-1].interval.hi == 1.0
 
     def test_leaves_tile_domain(self):
         result = run_induction(LocalOracle(_fixed_step(0.17), combine_adjacent), UNIT)
-        leaves = list(witness_leaves(result))
+        leaves = result.leaves
         for w1, w2 in zip(leaves, leaves[1:]):
             assert w1.interval.hi == w2.interval.lo
         assert verify_witness(result, UNIT, lambda leaf: True)
@@ -217,7 +216,7 @@ class TestVerifyWitness:
         assert isinstance(result, Witness)
         assert verify_witness(result, UNIT, lambda leaf: True)
         # float accumulation may add one catch-up step at the end
-        assert len(list(witness_leaves(result))) in (10_000, 10_001)
+        assert len(result.leaves) in (10_000, 10_001)
 
 
 class TestFlatLeaves:
@@ -278,15 +277,34 @@ class TestFlatLeaves:
         b = combine_adjacent(_leaf(0.5, 0.75), _leaf(0.75, 1.0))
         w = combine_adjacent(a, b)
         assert w.leaves == a.leaves + b.leaves
-        assert list(witness_leaves(w)) == list(w.leaves)
+        assert all(leaf.is_leaf for leaf in w.leaves)
         assert verify_witness(w, UNIT, lambda leaf: True)
 
-    def test_nested_leaves_are_walked(self):
-        inner = Witness(Interval(0.5, 1.0), None, (_leaf(0.5, 0.7, "ok"), _leaf(0.7, 1.0, "bad")))
-        w = Witness(UNIT, None, (_leaf(0.0, 0.5, "ok"), inner))
-        assert [leaf.interval.hi for leaf in witness_leaves(w)] == [0.5, 0.7, 1.0]
-        assert verify_witness(w, UNIT, lambda leaf: leaf.payload in ("ok", "bad"))
-        assert not verify_witness(w, UNIT, lambda leaf: leaf.payload == "ok")
-        torn = Witness(UNIT, None, (_leaf(0.0, 0.5), Witness(Interval(0.5, 1.0), None,
-                                                             (_leaf(0.5, 0.6), _leaf(0.7, 1.0)))))
-        assert not verify_witness(torn, UNIT, lambda leaf: True)
+
+class TestOpaqueLeaves:
+    def test_combined_leaf_is_checked_whole(self):
+        inner = Witness(Interval(0.5, 1.0), None, (_leaf(0.5, 0.7), _leaf(0.8, 1.0)))  # torn
+
+        def right(s):
+            return (0.5, _leaf(0.0, 0.5)) if s == 0.0 else (1.0, inner)
+
+        result = run_induction(LocalOracle(right, combine_adjacent), UNIT)
+        assert result.leaves[1] is inner
+        seen = []
+        assert verify_witness(result, UNIT, lambda leaf: seen.append(leaf) or True)
+        assert len(seen) == 2 and seen[1] is inner
+
+        def deep(leaf):
+            return leaf.is_leaf or verify_witness(leaf, leaf.interval, deep)
+
+        assert not verify_witness(result, UNIT, deep)
+        gap = Witness(UNIT, None, (_leaf(0.0, 0.4), inner))
+        assert not verify_witness(gap, UNIT, lambda leaf: True)
+
+    def test_single_leaf_spans_its_interval(self):
+        w = _leaf(0.0, 1.0, "ok")
+        seen = []
+        assert verify_witness(w, UNIT, lambda leaf: seen.append(leaf) or True)
+        assert seen == [w]
+        assert not verify_witness(w, UNIT, lambda leaf: leaf.payload == "bad")
+        assert not verify_witness(w, Interval(0.0, 0.5), lambda leaf: True)

@@ -27,7 +27,7 @@ PUBLIC = [
     "evaluate", "find_root", "fine_partition", "is_delta_fine", "lipschitz_bound",
     "no_root_certificate", "parse", "partition_from_json", "partition_to_json",
     "run_induction", "to_str", "validate_partition", "verify_bound_certificate",
-    "verify_sign_certificate", "verify_witness", "witness_leaves",
+    "verify_sign_certificate", "verify_witness",
 ]
 
 
