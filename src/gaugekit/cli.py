@@ -34,7 +34,7 @@ import os
 import re
 import stat
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import analysis, cousin, expr
 from .errors import CapExceededError
@@ -221,7 +221,7 @@ def _csv_field(value) -> str:
     return json.dumps(value)
 
 
-def _write_csv(args, header: list[str], rows: list[list]):
+def _write_csv(args, header: list[str], rows: Iterable[Sequence]):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -250,7 +250,8 @@ def _emit(args, payload: dict, human: str | None = None):
 
 
 def _emit_artifact(args, to_json: Callable[[], str], header: list[str],
-                   rows: Callable[[], list[list]], human: Callable[[], str] | None = None):
+                   rows: Callable[[], Iterable[Sequence]],
+                   human: Callable[[], str] | None = None):
     """Write a partition or certificate, building only the requested format:
     ``to_json()``, csv ``header`` over ``rows()``, or ``human()`` (the JSON
     again when there is none)."""
@@ -304,7 +305,7 @@ def _cmd_partition(args) -> int:
         payload: dict = {"status": "failed"}
         if result.stall is not None:
             payload["stall"] = {"frontier": result.stall.frontier,
-                                "cells_emitted": len(result.stall.cells_so_far)}
+                                "cells_emitted": len(result.stall.lo)}
         if result.depth_exceeded is not None:
             cell = result.depth_exceeded.deepest_cell
             payload["depth_exceeded"] = {"cell": {"lo": cell.lo, "hi": cell.hi}}
@@ -314,10 +315,10 @@ def _cmd_partition(args) -> int:
     if problem is not None:
         print(f"internal error: {problem}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit_artifact(args, lambda: partition_to_json(result), ["lo", "hi", "tag"],
-                   lambda: [[ti.cell.lo, ti.cell.hi, ti.tag] for ti in result.cells],
-                   human=lambda: "\n".join(f"[{ti.cell.lo!r}, {ti.cell.hi!r}] tag {ti.tag!r}"
-                                           for ti in result.cells))
+    cells = lambda: zip(result.lo, result.hi, result.tag)
+    _emit_artifact(args, lambda: partition_to_json(result), ["lo", "hi", "tag"], cells,
+                   human=lambda: "\n".join(f"[{lo!r}, {hi!r}] tag {tag!r}"
+                                           for lo, hi, tag in cells()))
     return EXIT_OK
 
 

@@ -8,6 +8,12 @@ Two strategies with different failure modes:
 * midpoint bisection splits until each cell fits inside some candidate
   tag's ball, and localizes hard spots spatially.
 
+Both append floats, not objects: the creep appends each boundary once to
+one list, from which the ``lo``, ``hi`` and ``tag`` columns of the
+:class:`~gaugekit.intervals.TaggedPartition` (or :class:`Stall`) are
+sliced; bisection appends to the three columns.  Both test their
+``max_cells`` budget before they append any cell.
+
 Both re-check nothing: soundness of their output is established by the
 exact checkers in :mod:`gaugekit.intervals`, which the tests (and the CLI,
 before emission) run on every result.
@@ -24,6 +30,7 @@ from .intervals import (
     Interval,
     TaggedInterval,
     TaggedPartition,
+    _tagged_intervals,
     as_gauge,
 )
 
@@ -56,10 +63,21 @@ class PartitionStrategy:
 
 @dataclass(frozen=True)
 class Stall:
-    """Greedy creep stopped short; ``frontier`` is the last point reached."""
+    """Greedy creep stopped short; ``frontier`` is the last point reached.
+
+    ``lo``, ``hi`` and ``tag`` are the columns of the cells emitted before
+    the stall, as in :class:`TaggedPartition`.
+    """
 
     frontier: float
-    cells_so_far: tuple[TaggedInterval, ...]
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    tag: tuple[float, ...]
+
+    @property
+    def cells_so_far(self) -> tuple[TaggedInterval, ...]:
+        """The emitted cells as objects, built anew on each access."""
+        return _tagged_intervals(self.lo, self.hi, self.tag)
 
 
 @dataclass(frozen=True)
@@ -99,23 +117,29 @@ def creep_partition(gauge: GaugeLike, dom: Interval, *,
         raise ValueError(f"domain must be nondegenerate, got [{a!r}, {b!r}]")
     g = as_gauge(gauge)
     delta_b = g(b)
-    cells: list[TaggedInterval] = []
+    # the boundaries reached so far: cell i is [pts[i], pts[i + 1]], tagged
+    # pts[i], except the final lookahead cell, which is tagged b
+    pts = [a]
     s = a
-    while True:
+    while len(pts) <= max_cells:  # room for one more cell
         # b - s rounds, so also ask for the fineness checker's own test
         # (b - delta_b) - s <= 0, or a tiny negative s gives an unfine cell
         if b - s <= delta_b and b - delta_b <= s:
-            cells.append(TaggedInterval(Interval(s, b), b))
-            return TaggedPartition(dom, tuple(cells))
-        if len(cells) >= max_cells:
-            return Stall(s, tuple(cells))
-        t = min(b, s + g(s))
-        if t <= s:
-            return Stall(s, tuple(cells))
-        cells.append(TaggedInterval(Interval(s, t), s))
+            pts.append(b)
+            lo = tuple(pts[:-1])
+            return TaggedPartition(dom, lo, tuple(pts[1:]), lo[:-1] + (b,))
+        t = s + g(s)
+        if t > b:
+            t = b
+        elif t <= s:
+            break
+        pts.append(t)
         if t == b:
-            return TaggedPartition(dom, tuple(cells))
+            lo = tuple(pts[:-1])
+            return TaggedPartition(dom, lo, tuple(pts[1:]), lo)
         s = t
+    lo = tuple(pts[:-1])
+    return Stall(s, lo, tuple(pts[1:]), lo)
 
 
 def bisect_partition(gauge: GaugeLike, dom: Interval, *,
@@ -137,7 +161,9 @@ def bisect_partition(gauge: GaugeLike, dom: Interval, *,
     if not a < b:
         raise ValueError(f"domain must be nondegenerate, got [{a!r}, {b!r}]")
     g = as_gauge(gauge)
-    cells: list[TaggedInterval] = []
+    lo: list[float] = []
+    hi: list[float] = []
+    tag: list[float] = []
 
     def cover(u: float, v: float, depth: int) -> Interval | None:
         mid = 0.5 * (u + v)
@@ -145,9 +171,11 @@ def bisect_partition(gauge: GaugeLike, dom: Interval, *,
             d = g(x)
             lo_edge, hi_edge = x - d, x + d
             if lo_edge <= u and v <= hi_edge and (lo_edge < u or v < hi_edge):
-                if len(cells) >= max_cells:
+                if len(lo) >= max_cells:
                     return Interval(u, v)
-                cells.append(TaggedInterval(Interval(u, v), x))
+                lo.append(u)
+                hi.append(v)
+                tag.append(x)
                 return None
         if depth >= max_depth or not u < mid < v:
             return Interval(u, v)
@@ -159,7 +187,7 @@ def bisect_partition(gauge: GaugeLike, dom: Interval, *,
     bad = cover(a, b, 0)
     if bad is not None:
         return DepthExceeded(bad)
-    return TaggedPartition(dom, tuple(cells))
+    return TaggedPartition(dom, lo, hi, tag)
 
 
 def fine_partition(gauge: GaugeLike, dom: Interval,

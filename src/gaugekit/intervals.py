@@ -4,12 +4,18 @@ Everything here is binary64 and every comparison is exact: the checkers
 apply no epsilon slack, so a partition or certificate either satisfies its
 claims bit-for-bit or it is reported as a violation.  Any rounding policy
 belongs to producers (see :mod:`gaugekit.cousin`), never to the checkers.
+
+A :class:`TaggedPartition` holds its cells as three parallel float tuples,
+``lo``, ``hi`` and ``tag``, with no object per cell.  The checkers, the
+JSON writer and the parser loop over those columns; ``cells`` builds the
+:class:`TaggedInterval` view on demand for callers that want objects.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
@@ -170,16 +176,39 @@ class TaggedInterval:
 
 @dataclass(frozen=True)
 class TaggedPartition:
-    """Ordered tagged cells meant to tile ``domain`` contiguously."""
+    """Cells ``[lo[i], hi[i]]`` tagged ``tag[i]``, meant to tile ``domain``
+    contiguously.
+
+    The three columns are parallel tuples of floats.  They are stored as
+    given: nothing is converted or checked per cell, so that the checkers
+    can be fed broken inputs (cells out of order, gaps, tags outside their
+    cell).  Endpoints must be finite floats, as :class:`Interval` requires.
+    """
 
     domain: Interval
-    cells: tuple[TaggedInterval, ...]
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    tag: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(self.cells))
+        for name in ("lo", "hi", "tag"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not len(self.lo) == len(self.hi) == len(self.tag):
+            raise ValueError(f"partition columns differ in length: lo {len(self.lo)}, "
+                             f"hi {len(self.hi)}, tag {len(self.tag)}")
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.lo)
+
+    @property
+    def cells(self) -> tuple[TaggedInterval, ...]:
+        """The cells as :class:`TaggedInterval` objects, built anew on each
+        access; loops over a partition should read the columns instead."""
+        return _tagged_intervals(self.lo, self.hi, self.tag)
+
+
+def _tagged_intervals(lo, hi, tag) -> tuple[TaggedInterval, ...]:
+    return tuple(TaggedInterval(Interval(l, h), t) for l, h, t in zip(lo, hi, tag))
 
 
 @dataclass(frozen=True)
@@ -209,49 +238,59 @@ def validate_partition(p: TaggedPartition) -> ValidationReport:
     """Check the structural invariants of a tagged partition.
 
     Every violated invariant becomes a report entry (nothing raises); an
-    empty report means the partition is valid.
+    empty report means the partition is valid.  Entries come in a fixed
+    order: the domain's endpoints, then each cell's width and tag, then
+    the junctions between neighbours.
     """
-    out: list[Violation] = []
-    cells = p.cells
-    if not cells:
+    lo, hi, tag = p.lo, p.hi, p.tag
+    if not lo:
         return ValidationReport((Violation(None, "empty", "partition has no cells"),))
 
-    if cells[0].cell.lo != p.domain.lo:
+    out: list[Violation] = []
+    if lo[0] != p.domain.lo:
         out.append(Violation(0, "endpoint",
-                             f"first cell starts at {cells[0].cell.lo!r}, domain starts at {p.domain.lo!r}"))
-    if cells[-1].cell.hi != p.domain.hi:
-        out.append(Violation(len(cells) - 1, "endpoint",
-                             f"last cell ends at {cells[-1].cell.hi!r}, domain ends at {p.domain.hi!r}"))
-    for i, ti in enumerate(cells):
-        if not ti.cell.lo < ti.cell.hi:
-            out.append(Violation(i, "degenerate", f"cell [{ti.cell.lo!r}, {ti.cell.hi!r}] has zero width"))
-        if not ti.cell.lo <= ti.tag <= ti.cell.hi:
-            out.append(Violation(i, "tag", f"tag {ti.tag!r} outside cell [{ti.cell.lo!r}, {ti.cell.hi!r}]"))
-    for i in range(len(cells) - 1):
-        if cells[i].cell.hi != cells[i + 1].cell.lo:
-            out.append(Violation(i, "contiguity",
-                                 f"cell {i} ends at {cells[i].cell.hi!r} but cell {i + 1} "
-                                 f"starts at {cells[i + 1].cell.lo!r}"))
+                             f"first cell starts at {lo[0]!r}, domain starts at {p.domain.lo!r}"))
+    if hi[-1] != p.domain.hi:
+        out.append(Violation(len(lo) - 1, "endpoint",
+                             f"last cell ends at {hi[-1]!r}, domain ends at {p.domain.hi!r}"))
+    # the per-index scans run only when a whole-column test finds a fault
+    if not (all(map(operator.lt, lo, hi)) and all(map(operator.le, lo, tag))
+            and all(map(operator.le, tag, hi))):
+        for i, (l, h, t) in enumerate(zip(lo, hi, tag)):
+            if not l < h:
+                out.append(Violation(i, "degenerate", f"cell [{l!r}, {h!r}] has zero width"))
+            if not l <= t <= h:
+                out.append(Violation(i, "tag", f"tag {t!r} outside cell [{l!r}, {h!r}]"))
+    # tuple equality compares with ==, so a -0.0/0.0 junction is contiguous
+    if hi[:-1] != lo[1:]:
+        for i, (h, l) in enumerate(zip(hi, lo[1:])):
+            if h != l:
+                out.append(Violation(i, "contiguity",
+                                     f"cell {i} ends at {h!r} but cell {i + 1} starts at {l!r}"))
     return ValidationReport(tuple(out))
 
 
 def is_delta_fine(p: TaggedPartition, gauge: GaugeLike) -> FinenessReport:
     """Check that every cell lies within [tag - delta(tag), tag + delta(tag)].
 
-    Containment is non-strict and exact.  The caller is responsible for
+    Containment is non-strict and exact.  The first cell that is not
+    contained is reported with its positive overshoot as ``margin``, or
+    with ``margin`` None when the overshoot is NaN (a NaN tag, or an
+    infinite tag under an infinite delta).  The caller is responsible for
     validating the partition first (see :func:`validate_partition`).
 
     Raises:
         GaugeNonpositiveError: if the gauge is not positive at some tag.
     """
     g = as_gauge(gauge)
-    for i, ti in enumerate(p.cells):
-        delta = g(ti.tag)
-        lo_overshoot = (ti.tag - delta) - ti.cell.lo
-        hi_overshoot = ti.cell.hi - (ti.tag + delta)
-        margin = max(lo_overshoot, hi_overshoot)
-        if margin > 0.0:
-            return FinenessReport(False, i, margin)
+    # map is lazy: the gauge is evaluated cell by cell, up to the first
+    # violation and no further
+    for i, (lo, hi, tag, delta) in enumerate(zip(p.lo, p.hi, p.tag, map(g, p.tag))):
+        lo_overshoot = (tag - delta) - lo
+        hi_overshoot = hi - (tag + delta)
+        if not (lo_overshoot <= 0.0 and hi_overshoot <= 0.0):  # also catches NaN
+            nan = math.isnan(lo_overshoot) or math.isnan(hi_overshoot)
+            return FinenessReport(False, i, None if nan else max(lo_overshoot, hi_overshoot))
     return FinenessReport(True)
 
 
@@ -262,12 +301,13 @@ def concat(p1: TaggedPartition, p2: TaggedPartition) -> TaggedPartition:
         ValueError: if either partition is empty.
         DomainMismatchError: if the junction endpoints are not bit-equal.
     """
-    if not p1.cells or not p2.cells:
+    if not p1.lo or not p2.lo:
         raise ValueError("cannot concatenate an empty partition")
     if p1.domain.hi != p2.domain.lo:
         raise DomainMismatchError(
             f"junction mismatch: left ends at {p1.domain.hi!r}, right starts at {p2.domain.lo!r}")
-    return TaggedPartition(Interval(p1.domain.lo, p2.domain.hi), p1.cells + p2.cells)
+    return TaggedPartition(Interval(p1.domain.lo, p2.domain.hi),
+                           p1.lo + p2.lo, p1.hi + p2.hi, p1.tag + p2.tag)
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -281,6 +321,13 @@ def concat(p1: TaggedPartition, p2: TaggedPartition) -> TaggedPartition:
 
 _PARTITION_HEAD = '{\n  "domain": {\n    "lo": %s,\n    "hi": %s\n  },\n  "cells": ['
 _PARTITION_CELL = '    {\n      "lo": %s,\n      "hi": %s,\n      "tag": %s\n    }'
+# the cell template's text around its three values
+_CELL = _PARTITION_CELL.split("%s")
+
+
+def _finite_floats(values) -> bool:
+    """True if every value is a finite float, which ``%s`` spells as json does."""
+    return set(map(type, values)) <= {float} and all(map(math.isfinite, values))
 
 
 def _json_fill(template: str, rows: list[tuple]) -> list[str]:
@@ -290,8 +337,7 @@ def _json_fill(template: str, rows: list[tuple]) -> list[str]:
     If any value is something else (NaN, an infinity, an int, a string, a
     float subclass), every value is spelled by json.dumps instead.
     """
-    values = list(chain.from_iterable(rows))
-    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+    if _finite_floats(list(chain.from_iterable(rows))):
         return [template % row for row in rows]
     return [template % tuple(map(json.dumps, row)) for row in rows]
 
@@ -307,15 +353,37 @@ def _json_document(head: str, items: list[str]) -> str:
 def partition_to_dict(p: TaggedPartition) -> dict:
     return {
         "domain": {"lo": p.domain.lo, "hi": p.domain.hi},
-        "cells": [{"lo": ti.cell.lo, "hi": ti.cell.hi, "tag": ti.tag} for ti in p.cells],
+        "cells": [{"lo": lo, "hi": hi, "tag": tag} for lo, hi, tag in zip(p.lo, p.hi, p.tag)],
     }
 
 
 def partition_to_json(p: TaggedPartition) -> str:
-    """The partition as ``json.dumps(partition_to_dict(p), indent=2)`` writes it."""
+    """The partition as ``json.dumps(partition_to_dict(p), indent=2)`` writes it.
+
+    Float repr is most of the cost, so each float object is spelled once:
+    a boundary that is one cell's ``hi``, the next cell's ``lo`` and its
+    tag (as the creep builds them) is one object, and it reuses one
+    spelling.  Sharing is tested with ``is``, never ``==``, because
+    ``-0.0 == 0.0`` and the two are spelled differently.
+    """
     head = _json_fill(_PARTITION_HEAD, [(p.domain.lo, p.domain.hi)])[0]
-    cells = _json_fill(_PARTITION_CELL, [(ti.cell.lo, ti.cell.hi, ti.tag) for ti in p.cells])
-    return _json_document(head, cells)
+    lo, hi, tag = p.lo, p.hi, p.tag
+    if not lo:
+        return _json_document(head, [])
+    spell = repr if _finite_floats(lo) and _finite_floats(hi) and _finite_floats(tag) else json.dumps
+    s_lo = list(map(spell, lo))
+    s_hi = [s if h is l else spell(h) for h, l, s in zip(hi, lo[1:], s_lo[1:])]
+    s_hi.append(spell(hi[-1]))
+    s_tag = [sl if t is l else sh if t is h else spell(t)
+             for t, l, h, sl, sh in zip(tag, lo, hi, s_lo, s_hi)]
+    # the document laid out as _json_document lays it out, but in one join
+    # with no intermediate copy of the text: the head, then each cell's
+    # spellings between the pieces of its template, cells joined by ",\n"
+    parts = [head + "\n" + _CELL[0]]
+    parts += [None, _CELL[1], None, _CELL[2], None, _CELL[3] + ",\n" + _CELL[0]] * len(lo)
+    parts[1::6], parts[3::6], parts[5::6] = s_lo, s_hi, s_tag
+    parts[-1] = _CELL[3] + "\n  ]\n}"
+    return "".join(parts)
 
 
 def _require_number(obj, key: str, artifact: str) -> float:
@@ -332,6 +400,9 @@ def _require_number(obj, key: str, artifact: str) -> float:
 def partition_from_dict(data: dict) -> TaggedPartition:
     """Rebuild a partition from its wire form.
 
+    Each cell must have finite endpoints in order, as :class:`Interval`
+    requires; an error in a cell names its index.
+
     Raises:
         ValueError: if the data does not match the schema.
     """
@@ -343,13 +414,22 @@ def partition_from_dict(data: dict) -> TaggedPartition:
     cells = data.get("cells")
     if not isinstance(cells, list):
         raise ValueError("partition JSON field 'cells' must be a list")
-    tagged = tuple(
-        TaggedInterval(Interval(_require_number(c, "lo", "partition"),
-                                _require_number(c, "hi", "partition")),
-                       _require_number(c, "tag", "partition"))
-        for c in cells
-    )
-    return TaggedPartition(domain, tagged)
+    lo: list[float] = []
+    hi: list[float] = []
+    tag: list[float] = []
+    for i, c in enumerate(cells):
+        try:
+            l = _require_number(c, "lo", "partition")
+            h = _require_number(c, "hi", "partition")
+            if not -math.inf < l <= h < math.inf:
+                Interval(l, h)  # raises, with the message a domain gets
+            t = _require_number(c, "tag", "partition")
+        except ValueError as e:
+            raise ValueError(f"cell {i}: {e}") from None
+        lo.append(l)
+        hi.append(h)
+        tag.append(t)
+    return TaggedPartition(domain, lo, hi, tag)
 
 
 def partition_from_json(text: str) -> TaggedPartition:

@@ -95,8 +95,7 @@ def test_criterion_3_forced_tag_gauge():
             assert p.cells[0].tag == 0.0
         # perturbing the forced first tag must be rejected by the checker
         for p in (creep, bisect):
-            bad_first = gk.TaggedInterval(p.cells[0].cell, 1e-9)
-            perturbed = gk.TaggedPartition(p.domain, (bad_first,) + p.cells[1:])
+            perturbed = gk.TaggedPartition(p.domain, p.lo, p.hi, (1e-9,) + p.tag[1:])
             assert gk.validate_partition(perturbed).ok  # still structurally valid
             report = gk.is_delta_fine(perturbed, gauge)
             assert not report.fine and report.first_violation == 0

@@ -76,6 +76,22 @@ class TestPartition:
                              "--interval", "0", "1")
         assert code == EXIT_DATA
 
+    def test_creep_counts_the_final_cell_against_the_cap(self, capsys):
+        # const:0.1 needs 11 creep cells on [0, 1], the last one the
+        # final-cell lookahead
+        argv = ["partition", "--gauge", "const:0.1", "--interval", "0", "1",
+                "--max-cells", "10"]
+        code, out, _ = run_cli(capsys, *argv, "--strategy", "creep")
+        assert code == EXIT_PARTITION_FAILED
+        assert json.loads(out)["stall"] == {"frontier": 0.9999999999999999,
+                                            "cells_emitted": 10}
+        code, out, _ = run_cli(capsys, *argv)  # hybrid: bisection's 8 cells
+        assert code == EXIT_OK
+        assert len(json.loads(out)["cells"]) == 8
+        code, out, _ = run_cli(capsys, *argv[:-1], "11", "--strategy", "creep")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["cells"]) == 11
+
 
 class TestCreepFinalCell:
     def test_tiny_negative_lo(self, capsys, tmp_path):
@@ -145,6 +161,54 @@ class TestCheck:
         assert code == EXIT_CHECK_FAILED
         report = json.loads(out)
         assert report["valid"] and not report["fine"]
+
+    def test_nan_tag_is_not_fine(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"domain": {"lo": 0, "hi": 1}, "cells": ['
+                        '{"lo": 0, "hi": 0.5, "tag": 0.25}, {"lo": 0.5, "hi": 1, "tag": NaN}]}')
+        code, out, _ = run_cli(capsys, "check", "--partition", str(path),
+                               "--gauge", "const:0.3")
+        assert code == EXIT_CHECK_FAILED
+
+        def strict(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        report = json.loads(out, parse_constant=strict)
+        assert [(v["index"], v["kind"]) for v in report["violations"]] == [(1, "tag")]
+        assert (report["fine"], report["first_violation"], report["margin"]) == (False, 1, None)
+
+    CELLS = [{"lo": 0, "hi": 0.25, "tag": 0}, {"lo": 0.25, "hi": 0.5, "tag": 0.25},
+             {"lo": 0.5, "hi": 0.75, "tag": 0.5}, {"lo": 0.75, "hi": 1, "tag": 1}]
+
+    @pytest.mark.parametrize("index, change, message", [
+        (3, {"lo": 1, "hi": 0}, "cell 3: interval endpoints out of order: [1.0, 0.0]"),
+        (0, {"lo": -math.inf}, "cell 0: interval endpoints must be finite: [-inf, 0.25]"),
+        (2, {"hi": math.nan}, "cell 2: interval endpoints must be finite: [0.5, nan]"),
+        (1, {"tag": None}, "cell 1: partition JSON missing field 'tag'"),
+        (2, {"lo": "0.5"}, "cell 2: partition JSON field 'lo' is not a number"),
+        (1, {"hi": True}, "cell 1: partition JSON field 'hi' is not a number"),
+    ])
+    def test_bad_cell_is_named(self, capsys, tmp_path, index, change, message):
+        cells = [dict(c) for c in self.CELLS]
+        cells[index].update(change)
+        if cells[index]["tag"] is None:
+            del cells[index]["tag"]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"domain": {"lo": 0, "hi": 1}, "cells": cells}))
+        code, out, err = run_cli(capsys, "check", "--partition", str(path),
+                                 "--gauge", "const:0.3")
+        assert (code, out, err) == (EXIT_DATA, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("domain, message", [
+        ({"lo": 1, "hi": 0}, "interval endpoints out of order: [1.0, 0.0]"),
+        ({"lo": 0}, "partition JSON missing field 'hi'"),
+    ])
+    def test_bad_domain_is_not_a_cell(self, capsys, tmp_path, domain, message):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"domain": domain, "cells": self.CELLS}))
+        code, out, err = run_cli(capsys, "check", "--partition", str(path),
+                                 "--gauge", "const:0.3")
+        assert (code, out, err) == (EXIT_DATA, "", f"error: {message}\n")
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "p.json"

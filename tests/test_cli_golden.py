@@ -2,9 +2,9 @@
 
 ``golden/cli.json`` maps ``"<case>.<format>"`` to the exit code and the
 exact stdout of that run; ``--output PATH`` must write the same bytes to
-the file and nothing to stdout.  ``check`` and ``verify`` read the
-partition and certificates that the pinned runs named in ``INPUTS``
-printed as JSON.
+the file and nothing to stdout.  ``check`` and ``verify`` read the files
+named in ``INPUTS``: the JSON that a pinned run printed, or a literal
+hand-written file.
 
 To rewrite the pinned file after a deliberate output change:
 
@@ -34,6 +34,9 @@ CASES = {
     "partition-expr": ["partition", "--gauge", "expr:x/2+0.05", "--interval", "0", "1"],
     "partition-stall": ["partition", "--gauge", "const:1e-5", "--interval", "0", "1",
                         "--strategy", "creep", "--max-cells", "10"],
+    # creep stalls at the cap, bisection fits 8 cells under it
+    "partition-hybrid-capped": ["partition", "--gauge", "const:0.1", "--interval", "0", "1",
+                                "--max-cells", "9"],
     "certify-bound": ["certify", "--f", "sin(x)", "--bound", "1.5", "--interval", "0", PI],
     "certify-below": ["certify", "--f", "x^2-2", "--no-root", "0", "--interval", "0", "1"],
     "certify-above": ["certify", "--f", "x", "--no-root", "-1e-3", "--interval", "0", "1"],
@@ -45,6 +48,7 @@ CASES = {
     "certify-hit": ["certify", "--f", "x", "--no-root", "0", "--interval", "0", "1"],
     "check-ok": ["check", "--partition", "{partition}", "--gauge", "const:0.3"],
     "check-unfine": ["check", "--partition", "{partition}", "--gauge", "const:0.2"],
+    "check-broken": ["check", "--partition", "{broken}", "--gauge", "const:0.3"],
     "verify-ok": ["verify", "--certificate", "{certificate}", "--f", "sin(x)"],
     "verify-above": ["verify", "--certificate", "{above}", "--f", "x"],
     "root": ["root", "--f", "x^2-2", "--y", "0", "--interval", "1", "2"],
@@ -53,9 +57,28 @@ CASES = {
                  "--tol", "1e-4"],
 }
 
-# input file name -> the case whose JSON stdout it holds
+# A hand-written partition that breaks every structural rule: the domain's
+# endpoints are missed at both ends, cell 2 has zero width, cell 3's tag lies
+# outside it, cells 3 and 4 leave a gap, and the -0.0/0.0 junction between
+# cells 0 and 1 is contiguous.
+BROKEN_PARTITION = """\
+{"domain": {"lo": -1, "hi": 2}, "cells": [
+  {"lo": -0.5, "hi": -0.0, "tag": -0.25},
+  {"lo": 0.0, "hi": 0.25, "tag": 0.125},
+  {"lo": 0.25, "hi": 0.25, "tag": 0.25},
+  {"lo": 0.25, "hi": 0.5, "tag": 0.75},
+  {"lo": 0.625, "hi": 1.5, "tag": 1}
+]}
+"""
+
+# input file name -> the case whose JSON stdout it holds, or a literal file
 INPUTS = {"partition": "partition-const", "certificate": "certify-bound",
-          "above": "certify-above"}
+          "above": "certify-above", "broken": BROKEN_PARTITION}
+
+
+def _input_text(source: str, outputs: dict) -> str:
+    """The file ``source`` names: a case's pinned JSON stdout, or itself."""
+    return outputs[f"{source}.json"]["stdout"] if source in CASES else source
 
 
 def _argv(case: str, fmt: str, inputs: dict[str, str]) -> list[str]:
@@ -75,9 +98,9 @@ def golden() -> dict:
 @pytest.fixture
 def inputs(golden, tmp_path) -> dict[str, str]:
     out = {}
-    for key, case in INPUTS.items():
+    for key, source in INPUTS.items():
         path = tmp_path / f"{key}.json"
-        path.write_text(golden[f"{case}.json"]["stdout"])
+        path.write_text(_input_text(source, golden))
         out[key] = str(path)
     return out
 
@@ -123,8 +146,11 @@ def _regenerate():
     pinned: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         inputs = {key: f"{tmp}/{key}.json" for key in INPUTS}
-        # the check and verify inputs come first so later cases can read them
-        first = list(INPUTS.values())
+        for key, source in INPUTS.items():
+            if source not in CASES:
+                pathlib.Path(inputs[key]).write_text(source)
+        # the cases that check and verify read come first
+        first = [s for s in INPUTS.values() if s in CASES]
         for case in first + [c for c in CASES if c not in first]:
             for fmt in FORMATS:
                 buf = io.StringIO()

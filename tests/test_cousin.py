@@ -75,6 +75,37 @@ class TestCreep:
         assert len(result.cells_so_far) == 100
         assert 0.0 < result.frontier < 1.0
 
+    def test_final_cell_counts_against_the_cap(self):
+        # const 0.1 needs 11 cells on [0, 1], the last one the final-cell
+        # lookahead; a cap of 10 must stall with 10, not emit 11
+        g = ConstantGauge(0.1)
+        result = creep_partition(g, Interval(0, 1), max_cells=10)
+        assert isinstance(result, Stall)
+        assert len(result.lo) == len(result.cells_so_far) == 10
+        assert result.frontier == result.hi[-1] == 0.9999999999999999
+        p = creep_partition(g, Interval(0, 1), max_cells=11)
+        _assert_sound(p, g)
+        assert len(p) == 11 and p.tag[-1] == 1.0
+
+    @pytest.mark.parametrize("gauge", [ConstantGauge(0.1), ConstantGauge(0.3),
+                                       OpaqueGauge(lambda x: (1.0 - x) / 2.0 if x < 1.0 else 0.25)])
+    def test_cap_is_never_exceeded(self, gauge):
+        for cap in range(1, 16):
+            for result in (creep_partition(gauge, Interval(0, 1), max_cells=cap),
+                           bisect_partition(gauge, Interval(0, 1), max_cells=cap)):
+                if isinstance(result, TaggedPartition):
+                    assert len(result) <= cap
+                elif isinstance(result, Stall):
+                    assert len(result.cells_so_far) <= cap
+
+    def test_stall_columns(self):
+        result = creep_partition(ConstantGauge(0.25), Interval(0, 1), max_cells=2)
+        assert isinstance(result, Stall)
+        assert (result.lo, result.hi, result.tag) == ((0.0, 0.25), (0.25, 0.5), (0.0, 0.25))
+        assert result.cells_so_far == (TaggedInterval(Interval(0.0, 0.25), 0.0),
+                                       TaggedInterval(Interval(0.25, 0.5), 0.25))
+        assert result.frontier == 0.5
+
     def test_stall_on_underflow(self):
         # step so small that s + delta(s) == s in binary64
         result = creep_partition(OpaqueGauge(lambda x: 1e-300), Interval(0.5, 1))
