@@ -27,7 +27,15 @@ from .induction import (
     Witness,
     run_induction,
 )
-from .intervals import Interval, _json_document, _json_fill, _require_number
+from .intervals import (
+    Interval,
+    _json_document,
+    _json_fill,
+    _json_rows,
+    _require_number,
+    _spelled_ends,
+    _spelling,
+)
 
 
 class MalformedModulusError(GaugekitError):
@@ -150,7 +158,10 @@ class Side(Enum):
 class CertificatePiece:
     """One tile: at ``sample`` the function was ``value``; the claimed
     inequality holds on all of ``cell`` because cell fits inside
-    [sample - radius, sample + radius] and radius <= step(half-gap)."""
+    [sample - radius, sample + radius] and radius <= step(half-gap).
+
+    Certificates keep their pieces as columns; this is the object view
+    that their ``pieces`` property builds."""
 
     cell: Interval
     sample: float
@@ -158,29 +169,62 @@ class CertificatePiece:
     radius: float
 
 
+class _PieceColumns:
+    """The piece columns a certificate shares: piece i is the cell
+    ``[lo[i], hi[i]]``, where ``f(s[i]) == fs[i]`` and the cell lies within
+    radius ``delta[i]`` of ``s[i]``.
+
+    The five columns are parallel tuples, named as in the wire format and
+    stored as given: nothing is converted or checked per piece, so that the
+    verifiers can be fed broken inputs (pieces out of order, gaps, zero
+    widths).
+    """
+
+    _COLUMNS = ("lo", "hi", "s", "fs", "delta")
+
+    def __post_init__(self):
+        for name in self._COLUMNS:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if len({len(getattr(self, name)) for name in self._COLUMNS}) > 1:
+            raise ValueError("certificate columns differ in length: " + ", ".join(
+                f"{name} {len(getattr(self, name))}" for name in self._COLUMNS))
+
+    @property
+    def pieces(self) -> tuple[CertificatePiece, ...]:
+        """The pieces as :class:`CertificatePiece` objects, built anew on
+        each access; loops over a certificate should read the columns."""
+        return tuple(CertificatePiece(Interval(lo, hi), s, fs, delta)
+                     for lo, hi, s, fs, delta in zip(self.lo, self.hi, self.s, self.fs,
+                                                     self.delta))
+
+    @property
+    def domain(self) -> Interval:
+        return Interval(self.lo[0], self.hi[-1])
+
+
 @dataclass(frozen=True)
-class SignCertificate:
+class SignCertificate(_PieceColumns):
     """Evidence that f stays strictly on one side of ``target`` on a tiling."""
 
     target: float
     side: Side
-    pieces: tuple[CertificatePiece, ...]
-
-    @property
-    def domain(self) -> Interval:
-        return Interval(self.pieces[0].cell.lo, self.pieces[-1].cell.hi)
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    s: tuple[float, ...]
+    fs: tuple[float, ...]
+    delta: tuple[float, ...]
 
 
 @dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(_PieceColumns):
     """Evidence that f < ``bound`` on a tiling."""
 
     bound: float
-    pieces: tuple[CertificatePiece, ...]
-
-    @property
-    def domain(self) -> Interval:
-        return Interval(self.pieces[0].cell.lo, self.pieces[-1].cell.hi)
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    s: tuple[float, ...]
+    fs: tuple[float, ...]
+    delta: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -230,11 +274,16 @@ def _sample_grid(dom: Interval) -> list[float]:
 
 def _one_sided_creep(f: Fn, target: float, dom: Interval, mod: ModulusOfContinuity,
                      policy: InductionPolicy | None, trace: list | None, bound: bool,
-                     ) -> Union[tuple[CertificatePiece, ...], StallDiagnostic]:
-    """The creep behind both one-sided certificates: pieces of radius
-    step(|f(s) - target| / 2), all on one side of target, or the stall.
-    f(s) == target raises TargetHitExactlyError; with ``bound`` set, any
-    f(s) >= target raises BoundViolatedError instead."""
+                     ) -> Union[tuple[tuple[float, ...], ...], StallDiagnostic]:
+    """The creep behind both one-sided certificates: the columns ``(lo, hi,
+    s, fs, delta)`` of pieces of radius step(|f(s) - target| / 2), all on
+    one side of target, or the stall.  f(s) == target raises
+    TargetHitExactlyError; with ``bound`` set, any f(s) >= target raises
+    BoundViolatedError instead.
+
+    Each leaf the oracle returns spans ``[s, t]`` and carries ``(fs,
+    delta)``; the sample is the leaf's ``lo``, so ``s`` is the ``lo``
+    column itself."""
     b = dom.hi
 
     def right(s: float):
@@ -248,11 +297,10 @@ def _one_sided_creep(f: Fn, target: float, dom: Interval, mod: ModulusOfContinui
         t = min(b, s + delta)
         if t <= s:
             return None
-        cell = Interval(s, t)
-        return t, Witness(cell, CertificatePiece(cell, s, fs, delta))
+        return t, Witness(Interval(s, t), (fs, delta))
 
     def combine(w1: Witness, w2: Witness):
-        if (w1.payload.value < target) is not (w2.payload.value < target):
+        if (w1.payload[0] < target) is not (w2.payload[0] < target):
             return Incompatible(f"side flips across {w2.interval.lo!r}")
         return None
 
@@ -262,7 +310,10 @@ def _one_sided_creep(f: Fn, target: float, dom: Interval, mod: ModulusOfContinui
         if result.reason is StallReason.CAP_EXCEEDED:
             raise CapExceededError(f"step budget exhausted at frontier {result.frontier!r}")
         return result
-    return tuple(leaf.payload for leaf in result.leaves)
+    leaves = result.leaves
+    lo = tuple([w.interval.lo for w in leaves])
+    fs, delta = zip(*[w.payload for w in leaves])
+    return lo, tuple([w.interval.hi for w in leaves]), lo, fs, delta
 
 
 # --- Sign certification / IVT -----------------------------------------------
@@ -285,10 +336,11 @@ def no_root_certificate(f: Fn, y: float, dom: Interval, mod: ModulusOfContinuity
         TargetHitExactlyError: if f(s) == y is evaluated.
         MalformedModulusError, CapExceededError
     """
-    pieces = _one_sided_creep(f, y, dom, mod, policy, trace, False)
-    if isinstance(pieces, StallDiagnostic):
-        return StallAtRoot(pieces.frontier, pieces)
-    return SignCertificate(y, Side.BELOW if pieces[0].value < y else Side.ABOVE, pieces)
+    columns = _one_sided_creep(f, y, dom, mod, policy, trace, False)
+    if isinstance(columns, StallDiagnostic):
+        return StallAtRoot(columns.frontier, columns)
+    fs = columns[3]
+    return SignCertificate(y, Side.BELOW if fs[0] < y else Side.ABOVE, *columns)
 
 
 def find_root(f: Fn, y: float, dom: Interval, mod: ModulusOfContinuity,
@@ -357,10 +409,10 @@ def bound_certificate(f: Fn, bound: float, dom: Interval, mod: ModulusOfContinui
     if worst_v >= bound:
         raise BoundViolatedError(worst_x, worst_v)
 
-    pieces = _one_sided_creep(f, bound, dom, mod, policy, trace, True)
-    if isinstance(pieces, StallDiagnostic):
-        return StallNearMax(pieces.frontier, pieces)
-    return BoundCertificate(bound, pieces)
+    columns = _one_sided_creep(f, bound, dom, mod, policy, trace, True)
+    if isinstance(columns, StallDiagnostic):
+        return StallNearMax(columns.frontier, columns)
+    return BoundCertificate(bound, *columns)
 
 
 def _bound_above(best: float, tol: float) -> float:
@@ -448,9 +500,9 @@ def approx_sup(f: Fn, dom: Interval, mod: ModulusOfContinuity, tol: float, *,
             x, v = hit.x, hit.value
         else:
             if isinstance(result, BoundCertificate):
-                for piece in result.pieces:
-                    if piece.value > best_v:
-                        best_x, best_v = piece.sample, piece.value
+                for x, v in zip(result.s, result.fs):
+                    if v > best_v:
+                        best_x, best_v = x, v
                 if on_certificate is not None:
                     on_certificate(result)
                 return SupEstimate(best_v, bound, best_x)
@@ -483,45 +535,50 @@ def approx_inf(f: Fn, dom: Interval, mod: ModulusOfContinuity, tol: float, *,
 # --- Independent certificate replay ------------------------------------------
 
 
-def _replay_pieces(pieces: tuple[CertificatePiece, ...], f: Fn,
+def _replay_pieces(cert: Union[SignCertificate, BoundCertificate], f: Fn,
                    mod: ModulusOfContinuity, target: float, side: Side) -> bool:
     """Replay the pieces of a certificate that f stays on ``side`` of
-    ``target``: a bound certificate is the ``below`` case."""
-    if not pieces:
+    ``target``: a bound certificate is the ``below`` case.
+
+    Pieces are checked left to right and the first failed check ends the
+    replay, so f is evaluated at no piece past the first bad one."""
+    lo, hi = cert.lo, cert.hi
+    if not lo:
         return False
+    n = len(lo)
+    # tuple equality compares with ==, so a -0.0/0.0 junction is contiguous;
+    # a break ends the replay at the piece that starts away from its neighbour
+    if hi[:-1] != lo[1:]:
+        n = next(i for i in range(1, n) if hi[i - 1] != lo[i])
     below = side is Side.BELOW
-    prev_hi = None
-    for p in pieces:
-        if not p.cell.lo < p.cell.hi:
+    for l, h, s, fs, delta in zip(lo[:n], hi, cert.s, cert.fs, cert.delta):
+        if not l < h:
             return False
-        if prev_hi is not None and p.cell.lo != prev_hi:
+        if not (s - delta <= l and h <= s + delta):
             return False
-        prev_hi = p.cell.hi
-        if not (p.sample - p.radius <= p.cell.lo and p.cell.hi <= p.sample + p.radius):
+        if f(s) != fs:
             return False
-        if f(p.sample) != p.value:
-            return False
-        gap = target - p.value if below else p.value - target
+        gap = target - fs if below else fs - target
         if not gap > 0.0:
             return False
         try:
-            if not p.radius <= mod.checked_step(gap / 2.0):
+            if not delta <= mod.checked_step(gap / 2.0):
                 return False
         except MalformedModulusError:
             return False
-    return True
+    return n == len(lo)
 
 
 def verify_sign_certificate(cert: SignCertificate, f: Fn,
                             mod: ModulusOfContinuity) -> bool:
     """Replay a sign certificate from scratch; True iff every check holds."""
-    return _replay_pieces(cert.pieces, f, mod, cert.target, cert.side)
+    return _replay_pieces(cert, f, mod, cert.target, cert.side)
 
 
 def verify_bound_certificate(cert: BoundCertificate, f: Fn,
                              mod: ModulusOfContinuity) -> bool:
     """Replay a bound certificate from scratch; True iff every check holds."""
-    return _replay_pieces(cert.pieces, f, mod, cert.bound, Side.BELOW)
+    return _replay_pieces(cert, f, mod, cert.bound, Side.BELOW)
 
 
 # --- JSON wire format ---------------------------------------------------------
@@ -530,8 +587,9 @@ def verify_bound_certificate(cert: BoundCertificate, f: Fn,
 #  "pieces": [{"lo": .., "hi": .., "s": .., "fs": .., "delta": ..}, ...]}
 
 _CERTIFICATE_HEAD = '{\n  "kind": %s,\n  "target": %s,\n  "side": %s,\n  "pieces": ['
-_CERTIFICATE_PIECE = ('    {\n      "lo": %s,\n      "hi": %s,\n      "s": %s,\n'
-                      '      "fs": %s,\n      "delta": %s\n    }')
+# the piece template's text around its five values
+_PIECE = ('    {\n      "lo": %s,\n      "hi": %s,\n      "s": %s,\n'
+          '      "fs": %s,\n      "delta": %s\n    }').split("%s")
 
 
 def _certificate_head(cert: Union[SignCertificate, BoundCertificate]) -> tuple:
@@ -548,21 +606,41 @@ def certificate_to_dict(cert: Union[SignCertificate, BoundCertificate]) -> dict:
         "target": target,
         "side": side,
         "pieces": [
-            {"lo": p.cell.lo, "hi": p.cell.hi, "s": p.sample, "fs": p.value, "delta": p.radius}
-            for p in cert.pieces
+            {"lo": lo, "hi": hi, "s": s, "fs": fs, "delta": delta}
+            for lo, hi, s, fs, delta in zip(cert.lo, cert.hi, cert.s, cert.fs, cert.delta)
         ],
     }
 
 
 def certificate_to_json(cert: Union[SignCertificate, BoundCertificate]) -> str:
-    """The certificate as ``json.dumps(certificate_to_dict(cert), indent=2)`` writes it."""
+    """The certificate as ``json.dumps(certificate_to_dict(cert), indent=2)`` writes it.
+
+    As in ``partition_to_json``, each float object is spelled once: the
+    creep's sample ``s`` is its cell's ``lo`` and a cell's ``hi`` is the
+    next cell's ``lo``, and each reuses that spelling.  Sharing is tested
+    with ``is``, never ``==``, because ``-0.0 == 0.0`` and the two are
+    spelled differently.
+    """
     head = _json_fill(_CERTIFICATE_HEAD, [_certificate_head(cert)])[0]
-    pieces = _json_fill(_CERTIFICATE_PIECE, [(p.cell.lo, p.cell.hi, p.sample, p.value, p.radius)
-                                             for p in cert.pieces])
-    return _json_document(head, pieces)
+    lo, hi, s, fs, delta = cert.lo, cert.hi, cert.s, cert.fs, cert.delta
+    if not lo:
+        return _json_document(head, [])
+    spell = _spelling(lo, hi, s, fs, delta)
+    s_lo, s_hi = _spelled_ends(lo, hi, spell)
+    s_s = [sl if x is l else spell(x) for x, l, sl in zip(s, lo, s_lo)]
+    return _json_rows(head, _PIECE, [s_lo, s_hi, s_s, list(map(spell, fs)),
+                                     list(map(spell, delta))])
 
 
 def certificate_from_dict(data: dict) -> Union[SignCertificate, BoundCertificate]:
+    """Rebuild a certificate from its wire form.
+
+    Each piece must have finite ends in order, as :class:`Interval`
+    requires; an error in a piece names its index.
+
+    Raises:
+        ValueError: if the data does not match the schema.
+    """
     if not isinstance(data, dict):
         raise ValueError("certificate JSON must be an object")
     kind = data.get("kind")
@@ -572,22 +650,34 @@ def certificate_from_dict(data: dict) -> Union[SignCertificate, BoundCertificate
     raw_pieces = data.get("pieces")
     if not isinstance(raw_pieces, list) or not raw_pieces:
         raise ValueError("certificate JSON needs a nonempty 'pieces' list")
-    num = lambda p, key: _require_number(p, key, "certificate")
-    pieces = tuple(
-        CertificatePiece(Interval(num(p, "lo"), num(p, "hi")),
-                         num(p, "s"), num(p, "fs"), num(p, "delta"))
-        for p in raw_pieces
-    )
+    columns: tuple[list[float], ...] = ([], [], [], [], [])
+    lo, hi, s, fs, delta = columns
+    for i, p in enumerate(raw_pieces):
+        try:
+            l = _require_number(p, "lo", "certificate")
+            h = _require_number(p, "hi", "certificate")
+            if not -math.inf < l <= h < math.inf:
+                Interval(l, h)  # raises, with the message a domain gets
+            x = _require_number(p, "s", "certificate")
+            v = _require_number(p, "fs", "certificate")
+            r = _require_number(p, "delta", "certificate")
+        except ValueError as e:
+            raise ValueError(f"piece {i}: {e}") from None
+        lo.append(l)
+        hi.append(h)
+        s.append(x)
+        fs.append(v)
+        delta.append(r)
     side_raw = data.get("side")
     if kind == "bound":
         if side_raw != Side.BELOW.value:
             raise ValueError(f"bound certificate side must be 'below', got {side_raw!r}")
-        return BoundCertificate(target, pieces)
+        return BoundCertificate(target, *columns)
     try:
         side = Side(side_raw)
     except ValueError:
         raise ValueError(f"certificate side must be 'below' or 'above', got {side_raw!r}") from None
-    return SignCertificate(target, side, pieces)
+    return SignCertificate(target, side, *columns)
 
 
 def certificate_from_json(text: str) -> Union[SignCertificate, BoundCertificate]:

@@ -419,8 +419,7 @@ def _cmd_certify(args) -> int:
         return EXIT_INTERNAL
     _emit_artifact(args, lambda: analysis.certificate_to_json(result),
                    ["lo", "hi", "s", "fs", "delta"],
-                   lambda: [[p.cell.lo, p.cell.hi, p.sample, p.value, p.radius]
-                            for p in result.pieces])
+                   lambda: zip(result.lo, result.hi, result.s, result.fs, result.delta))
     return EXIT_OK
 
 
@@ -435,7 +434,10 @@ def _cmd_verify(args) -> int:
         cert = analysis.certificate_from_dict(json.loads(text))
     except (ValueError, RecursionError) as e:
         raise _DataError(f"malformed certificate: {e}") from None
-    mod = _lipschitz(args, ast, cert.domain)
+    # pieces out of order tile nothing, and the replay rejects them; the
+    # bound is derived between the outer ends, taken in order
+    ends = sorted((cert.lo[0], cert.hi[-1]))
+    mod = _lipschitz(args, ast, Interval(*ends))
     verify = (analysis.verify_sign_certificate if isinstance(cert, analysis.SignCertificate)
               else analysis.verify_bound_certificate)
     ok = verify(cert, f, mod)
@@ -520,10 +522,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    # one parser serves every call in the process; it is built on the first
+    # call, not at import, and parsing leaves it as it was
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

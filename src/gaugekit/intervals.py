@@ -350,6 +350,45 @@ def _json_document(head: str, items: list[str]) -> str:
     return head + "\n" + ",\n".join(items) + "\n  ]\n}"
 
 
+def _json_rows(head: str, template: list[str], columns: list[list[str]]) -> str:
+    """``_json_document(head, items)`` where item i is the row template whose
+    text around its values is ``template``, filled with ``column[i]`` of each
+    column, in order; there must be at least one row.
+
+    The document is built in one join with no intermediate copy of the
+    text: the head, then each row's spellings between the pieces of its
+    template, rows joined by ",\n".
+    """
+    width = 2 * len(columns)
+    unit: list = []
+    for text in template[1:]:
+        unit += [None, text]
+    unit[-1] += ",\n" + template[0]
+    parts = [head + "\n" + template[0]]
+    parts += unit * len(columns[0])
+    for k, column in enumerate(columns):
+        parts[1 + 2 * k::width] = column
+    parts[-1] = template[-1] + "\n  ]\n}"
+    return "".join(parts)
+
+
+def _spelling(*columns) -> Callable[[object], str]:
+    """How json spells every value of ``columns``: ``repr`` when all are
+    finite floats, else ``json.dumps``."""
+    return repr if all(map(_finite_floats, columns)) else json.dumps
+
+
+def _spelled_ends(lo, hi, spell) -> tuple[list[str], list[str]]:
+    """The spellings of the nonempty ``lo`` and ``hi`` columns, each float
+    object spelled once: a ``hi`` that is the next row's ``lo`` object
+    reuses its spelling.  Sharing is tested with ``is``, never ``==``,
+    because ``-0.0 == 0.0`` and the two are spelled differently."""
+    s_lo = list(map(spell, lo))
+    s_hi = [s if h is l else spell(h) for h, l, s in zip(hi, lo[1:], s_lo[1:])]
+    s_hi.append(spell(hi[-1]))
+    return s_lo, s_hi
+
+
 def partition_to_dict(p: TaggedPartition) -> dict:
     return {
         "domain": {"lo": p.domain.lo, "hi": p.domain.hi},
@@ -370,20 +409,11 @@ def partition_to_json(p: TaggedPartition) -> str:
     lo, hi, tag = p.lo, p.hi, p.tag
     if not lo:
         return _json_document(head, [])
-    spell = repr if _finite_floats(lo) and _finite_floats(hi) and _finite_floats(tag) else json.dumps
-    s_lo = list(map(spell, lo))
-    s_hi = [s if h is l else spell(h) for h, l, s in zip(hi, lo[1:], s_lo[1:])]
-    s_hi.append(spell(hi[-1]))
+    spell = _spelling(lo, hi, tag)
+    s_lo, s_hi = _spelled_ends(lo, hi, spell)
     s_tag = [sl if t is l else sh if t is h else spell(t)
              for t, l, h, sl, sh in zip(tag, lo, hi, s_lo, s_hi)]
-    # the document laid out as _json_document lays it out, but in one join
-    # with no intermediate copy of the text: the head, then each cell's
-    # spellings between the pieces of its template, cells joined by ",\n"
-    parts = [head + "\n" + _CELL[0]]
-    parts += [None, _CELL[1], None, _CELL[2], None, _CELL[3] + ",\n" + _CELL[0]] * len(lo)
-    parts[1::6], parts[3::6], parts[5::6] = s_lo, s_hi, s_tag
-    parts[-1] = _CELL[3] + "\n  ]\n}"
-    return "".join(parts)
+    return _json_rows(head, _CELL, [s_lo, s_hi, s_tag])
 
 
 def _require_number(obj, key: str, artifact: str) -> float:

@@ -214,24 +214,22 @@ def test_criterion_7_certificate_independence():
         # three systematic tamperings, each must be rejected
         sign_cert, f, mod = next(
             (c, f, m) for c, f, m in certificates
-            if isinstance(c, gk.SignCertificate) and len(c.pieces) >= 2)
-        pieces = list(sign_cert.pieces)
-        k = len(pieces) // 2
-        p = pieces[k]
+            if isinstance(c, gk.SignCertificate) and len(c.lo) >= 2)
+        columns = (sign_cert.lo, sign_cert.hi, sign_cert.s, sign_cert.fs, sign_cert.delta)
+        k = len(sign_cert.lo) // 2
 
-        inflated = list(pieces)
-        inflated[k] = gk.CertificatePiece(p.cell, p.sample, p.value, p.radius * 4)
-        tampered = gk.SignCertificate(sign_cert.target, sign_cert.side, tuple(inflated))
+        inflated = list(sign_cert.delta)
+        inflated[k] *= 4
+        tampered = gk.SignCertificate(sign_cert.target, sign_cert.side, *columns[:4], inflated)
         assert not gk.verify_sign_certificate(tampered, f, mod)
 
-        gapped = list(pieces)
-        nudged = gk.Interval(math.nextafter(p.cell.lo, p.cell.hi), p.cell.hi)
-        gapped[k] = gk.CertificatePiece(nudged, p.sample, p.value, p.radius)
-        tampered = gk.SignCertificate(sign_cert.target, sign_cert.side, tuple(gapped))
+        gapped = list(sign_cert.lo)
+        gapped[k] = math.nextafter(gapped[k], sign_cert.hi[k])
+        tampered = gk.SignCertificate(sign_cert.target, sign_cert.side, gapped, *columns[1:])
         assert not gk.verify_sign_certificate(tampered, f, mod)
 
         flipped_side = gk.Side.ABOVE if sign_cert.side is gk.Side.BELOW else gk.Side.BELOW
-        tampered = gk.SignCertificate(sign_cert.target, flipped_side, pieces=tuple(pieces))
+        tampered = gk.SignCertificate(sign_cert.target, flipped_side, *columns)
         assert not gk.verify_sign_certificate(tampered, f, mod)
 
 

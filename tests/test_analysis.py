@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -308,20 +309,15 @@ class TestApproxInf:
 
 
 def _tampered_delta(cert):
-    pieces = list(cert.pieces)
-    p = pieces[len(pieces) // 2]
-    pieces[len(pieces) // 2] = CertificatePiece(p.cell, p.sample, p.value, p.radius * 4)
-    return SignCertificate(cert.target, cert.side, tuple(pieces)) \
-        if isinstance(cert, SignCertificate) else BoundCertificate(cert.bound, tuple(pieces))
+    delta = list(cert.delta)
+    delta[len(delta) // 2] *= 4
+    return replace(cert, delta=delta)
 
 
 def _tampered_gap(cert):
-    pieces = list(cert.pieces)
-    p = pieces[-1]
-    nudged = Interval(math.nextafter(p.cell.lo, p.cell.hi), p.cell.hi)
-    pieces[-1] = CertificatePiece(nudged, p.sample, p.value, p.radius)
-    return SignCertificate(cert.target, cert.side, tuple(pieces)) \
-        if isinstance(cert, SignCertificate) else BoundCertificate(cert.bound, tuple(pieces))
+    lo = list(cert.lo)
+    lo[-1] = math.nextafter(lo[-1], cert.hi[-1])
+    return replace(cert, lo=lo)
 
 
 class TestVerifiers:
@@ -345,7 +341,7 @@ class TestVerifiers:
 
     def test_flipped_side_rejected(self):
         cert = self._cert()
-        flipped = SignCertificate(cert.target, Side.ABOVE, cert.pieces)
+        flipped = replace(cert, side=Side.ABOVE)
         assert not verify_sign_certificate(flipped, lambda x: math.sin(x) - 2.0,
                                            Lipschitz(1.0))
 
@@ -355,7 +351,7 @@ class TestVerifiers:
                                            Lipschitz(1.0))
 
     def test_empty_pieces_rejected(self):
-        cert = SignCertificate(0.0, Side.BELOW, ())
+        cert = SignCertificate(0.0, Side.BELOW, (), (), (), (), ())
         assert not verify_sign_certificate(cert, lambda x: -1.0, Lipschitz(1.0))
 
 
@@ -407,14 +403,13 @@ class TestCertificateJson:
         assert data["kind"] == "sign" and data["side"] == "below"
 
     @pytest.mark.parametrize("cert", [
-        SignCertificate(2.0, Side.BELOW, ()),
-        SignCertificate(-0.0, Side.ABOVE, (
-            CertificatePiece(Interval(-0.0, 5e-324), 0.0, 0.1, 1e16),
-            CertificatePiece(Interval(5e-324, 1e22), 1e22, -1e-300, 2.5e-310))),
-        BoundCertificate(3, (CertificatePiece(Interval(0.0, 1.0), 0.5, 1, 2),)),
-        BoundCertificate(1.5, (CertificatePiece(Interval(0.0, 1.0), 0.5, math.nan, 1.0),)),
-        BoundCertificate(math.inf, (CertificatePiece(Interval(0.0, 1.0), 0.5, -math.inf, 1.0),)),
-        BoundCertificate(True, (CertificatePiece(Interval(0.0, 1.0), 0.5, False, 1.0),)),
+        SignCertificate(2.0, Side.BELOW, (), (), (), (), ()),
+        SignCertificate(-0.0, Side.ABOVE, (-0.0, 5e-324), (5e-324, 1e22), (0.0, 1e22),
+                        (0.1, -1e-300), (1e16, 2.5e-310)),
+        BoundCertificate(3, (0.0,), (1.0,), (0.5,), (1,), (2,)),
+        BoundCertificate(1.5, (0.0,), (1.0,), (0.5,), (math.nan,), (1.0,)),
+        BoundCertificate(math.inf, (0.0,), (1.0,), (0.5,), (-math.inf,), (1.0,)),
+        BoundCertificate(True, (0.0,), (1.0,), (0.5,), (False,), (1.0,)),
     ])
     def test_writer_matches_json_dumps(self, cert):
         assert certificate_to_json(cert) == json.dumps(certificate_to_dict(cert), indent=2)
@@ -431,9 +426,10 @@ class TestCertificateJson:
            st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 5),
                     max_size=6))
     def test_writer_matches_json_dumps_on_random_floats(self, target, rows):
-        pieces = tuple(CertificatePiece(Interval(min(lo, hi), max(lo, hi)), s, fs, delta)
-                       for lo, hi, s, fs, delta in rows)
-        for cert in (BoundCertificate(target, pieces), SignCertificate(target, Side.ABOVE, pieces)):
+        rows = [(min(lo, hi), max(lo, hi), s, fs, delta) for lo, hi, s, fs, delta in rows]
+        columns = tuple(zip(*rows)) if rows else ((),) * 5
+        for cert in (BoundCertificate(target, *columns),
+                     SignCertificate(target, Side.ABOVE, *columns)):
             assert certificate_to_json(cert) == json.dumps(certificate_to_dict(cert), indent=2)
 
     @pytest.mark.parametrize("text", [
@@ -445,3 +441,228 @@ class TestCertificateJson:
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
             certificate_from_json(text)
+
+
+def reference_replay_pieces(pieces, f, mod, target, side):
+    """The object-walking replay that the columnar ``_replay_pieces`` replaced,
+    kept to test that the two agree: it walks ``CertificatePiece`` objects."""
+    if not pieces:
+        return False
+    below = side is Side.BELOW
+    prev_hi = None
+    for p in pieces:
+        if not p.cell.lo < p.cell.hi:
+            return False
+        if prev_hi is not None and p.cell.lo != prev_hi:
+            return False
+        prev_hi = p.cell.hi
+        if not (p.sample - p.radius <= p.cell.lo and p.cell.hi <= p.sample + p.radius):
+            return False
+        if f(p.sample) != p.value:
+            return False
+        gap = target - p.value if below else p.value - target
+        if not gap > 0.0:
+            return False
+        try:
+            if not p.radius <= mod.checked_step(gap / 2.0):
+                return False
+        except MalformedModulusError:
+            return False
+    return True
+
+
+def _tamper(cert, f, rng):
+    """``cert`` with one random tampering applied to a copy of its columns."""
+    cols = [list(cert.lo), list(cert.hi), list(cert.s), list(cert.fs), list(cert.delta)]
+    lo, hi, s, fs, delta = cols
+    n = len(lo)
+    k = rng.randrange(n)
+    target = cert.bound if isinstance(cert, BoundCertificate) else cert.target
+    kind = rng.choice(["delta", "lo", "swap", "fs", "zero", "junction"])
+    if kind == "delta":
+        delta[k] *= rng.choice([1.0 + 2 ** -40, 1.5, 4.0])
+    elif kind == "lo":
+        lo[k] = math.nextafter(lo[k], rng.choice([hi[k], -math.inf]))
+    elif kind == "swap":
+        j = rng.randrange(n)
+        for col in cols:
+            col[j], col[k] = col[k], col[j]
+    elif kind == "fs":
+        fs[k] = 2.0 * target - fs[k]  # the mirror image across the target
+    elif kind == "zero":
+        # a piece of width zero at lo[k], with otherwise valid evidence
+        for col, value in zip(cols, (lo[k], lo[k], lo[k], f(lo[k]), delta[k])):
+            col.insert(k, value)
+    elif kind == "junction":
+        # give each zero junction end the other sign: -0.0 == 0.0 stays contiguous
+        for i in range(1, n):
+            if hi[i - 1] == 0.0 == lo[i]:
+                lo[i] = -lo[i]
+    return replace(cert, lo=lo, hi=hi, s=s, fs=fs, delta=delta), kind
+
+
+def _joined_at_zero(f, bound, mod):
+    """Bound certificates on [-1, 0] and [0, 1] joined into one whose
+    junction at zero is a -0.0 end followed by a 0.0 start."""
+    left = bound_certificate(f, bound, Interval(-1.0, 0.0), mod)
+    right = bound_certificate(f, bound, Interval(0.0, 1.0), mod)
+    return BoundCertificate(bound, left.lo + right.lo, left.hi[:-1] + (-0.0,) + right.hi,
+                            left.s + right.s, left.fs + right.fs, left.delta + right.delta)
+
+
+class TestColumnarReplay:
+    """The columnar replay gives the object-walking replay's verdicts, and
+    evaluates f at the same points in the same order."""
+
+    @staticmethod
+    def _cases():
+        lip1 = Lipschitz(1.0)
+        sin_minus_2 = lambda x: math.sin(x) - 2.0
+        sin_plus_2 = lambda x: math.sin(x) + 2.0
+        return [
+            (no_root_certificate(sin_minus_2, 0.0, Interval(0.0, 3.0), lip1), sin_minus_2, lip1),
+            (no_root_certificate(sin_plus_2, 0.0, Interval(-2.0, 3.0), lip1), sin_plus_2, lip1),
+            (bound_certificate(math.sin, 1.2, Interval(0.0, math.pi), lip1), math.sin, lip1),
+            (bound_certificate(math.cos, 1.5, Interval(-1.0, 1.0), Hoelder(1.0, 0.5)),
+             math.cos, Hoelder(1.0, 0.5)),
+            (_joined_at_zero(math.sin, 1.2, lip1), math.sin, lip1),
+        ]
+
+    @staticmethod
+    def _both(cert, f, mod):
+        calls = {"new": [], "ref": []}
+        spy = lambda key: lambda x: calls[key].append(x) or f(x)
+        if isinstance(cert, SignCertificate):
+            new = verify_sign_certificate(cert, spy("new"), mod)
+            ref = reference_replay_pieces(cert.pieces, spy("ref"), mod, cert.target, cert.side)
+        else:
+            new = verify_bound_certificate(cert, spy("new"), mod)
+            ref = reference_replay_pieces(cert.pieces, spy("ref"), mod, cert.bound, Side.BELOW)
+        return (new, calls["new"]), (ref, calls["ref"])
+
+    def test_random_tamperings(self):
+        rng = random.Random(0x5EED)
+        verdicts = {}
+        for cert, f, mod in self._cases():
+            new, ref = self._both(cert, f, mod)
+            assert new == ref and new[0] is True
+            for _ in range(150):
+                tampered = cert
+                for _ in range(rng.randint(1, 3)):
+                    tampered, kind = _tamper(tampered, f, rng)
+                new, ref = self._both(tampered, f, mod)
+                assert new == ref, kind
+                verdicts.setdefault(kind, set()).add(new[0])
+        # every tampering ran, and the sweep saw both verdicts
+        assert set(verdicts) == {"delta", "lo", "swap", "fs", "zero", "junction"}
+        assert set.union(*verdicts.values()) == {True, False}
+
+    @pytest.mark.parametrize("first_hi,next_lo", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+    def test_signed_zero_junction_is_contiguous(self, first_hi, next_lo):
+        f = lambda x: x - 5.0
+        cert = SignCertificate(0.0, Side.BELOW, (-1.0, next_lo), (first_hi, 1.0),
+                               (-0.5, 0.5), (f(-0.5), f(0.5)), (0.5, 0.5))
+        new, ref = self._both(cert, f, Lipschitz(1.0))
+        assert new == ref == (True, [-0.5, 0.5])
+
+    def test_break_ends_the_replay_at_the_bad_piece(self):
+        cert, f, mod = self._cases()[2]
+        lo = list(cert.lo)
+        lo[5] = math.nextafter(lo[5], math.inf)
+        new, ref = self._both(replace(cert, lo=lo), f, mod)
+        assert new == ref == (False, list(cert.s[:5]))
+
+    def test_columns_differ_in_length(self):
+        with pytest.raises(ValueError, match="columns differ in length"):
+            BoundCertificate(1.0, (0.0,), (1.0,), (0.0, 1.0), (0.0,), (1.0,))
+
+    def test_pieces_view_and_domain(self):
+        cert, _, _ = self._cases()[2]
+        assert cert.domain == Interval(cert.lo[0], cert.hi[-1]) == Interval(0.0, math.pi)
+        assert cert.pieces == tuple(CertificatePiece(Interval(l, h), s, v, r) for l, h, s, v, r
+                                    in zip(cert.lo, cert.hi, cert.s, cert.fs, cert.delta))
+        assert cert.pieces is not cert.pieces  # built anew on each access
+
+    def test_creep_shares_boundary_objects(self):
+        # the writer reuses a spelling where the sample is its cell's lo and a
+        # cell's hi is the next cell's lo, which the creep makes one object
+        cert, _, _ = self._cases()[2]
+        assert len(cert.lo) > 2
+        assert all(s is l for s, l in zip(cert.s, cert.lo))
+        assert all(h is l for h, l in zip(cert.hi, cert.lo[1:]))
+
+
+class TestCertificateWriterAgainstJsonDumps:
+    @staticmethod
+    def _dumps(cert):
+        return json.dumps(certificate_to_dict(cert), indent=2)
+
+    @pytest.mark.parametrize("text,target,bound", [
+        ("sin", 2.0, None), ("sin", -1.0, None), ("sin", None, 1.001), ("neg_sq", None, 0.5)])
+    def test_produced_and_parsed(self, text, target, bound):
+        f = {"sin": math.sin, "neg_sq": lambda x: -x * x}[text]
+        dom = Interval(-1.0, 3.0)
+        if bound is None:
+            cert = no_root_certificate(f, target, dom, Lipschitz(6.0))
+        else:
+            cert = bound_certificate(f, bound, dom, Lipschitz(6.0))
+        text = certificate_to_json(cert)
+        assert text == self._dumps(cert)
+        parsed = certificate_from_json(text)
+        assert parsed == cert
+        # parsed columns share no float objects, so every value is spelled anew
+        assert not any(s is l for s, l in zip(parsed.s, parsed.lo))
+        assert certificate_to_json(parsed) == self._dumps(parsed) == text
+
+    @pytest.mark.parametrize("columns", [
+        ((0, 1), (1, 2), (0, 1), (0, 1), (1, 1)),  # ints
+        ((0.0, 1.0), (1.0, 2.0), (True, 1.0), (False, 0.5), (1.0, True)),  # bools
+        ((0.0,), (1.0,), (0.5,), (math.nan,), (1.0,)),
+        ((0.0,), (math.inf,), (0.5,), (-math.inf,), (math.inf,)),
+        ((-0.0, 0.0), (-0.0, 1.0), (-0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)),
+        ((-0.0, -0.0), (0.0, 1.0), (0.0, 0.5), (1e-320, -1e308), (5e-324, 1.7976931348623157e308)),
+    ], ids=["int", "bool", "nan", "inf", "signed-zero", "extremes"])
+    def test_hand_built(self, columns):
+        for cert in (BoundCertificate(1.5, *columns), SignCertificate(-0.0, Side.ABOVE, *columns),
+                     SignCertificate(math.nan, Side.BELOW, *columns)):
+            assert certificate_to_json(cert) == self._dumps(cert)
+
+    def test_shared_objects_spell_as_their_values(self):
+        # one -0.0 object as a hi and the next lo, and a 0.0 sample beside it
+        z = -0.0
+        cert = BoundCertificate(1.0, (-1.0, z), (z, 1.0), (-1.0, 0.0), (0.0, 0.0), (1.0, 1.0))
+        assert certificate_to_json(cert) == self._dumps(cert)
+
+
+class TestCertificateParseErrors:
+    @staticmethod
+    def _text(**bad):
+        pieces = [{"lo": float(i), "hi": i + 1.0, "s": float(i), "fs": 0.0, "delta": 1.0}
+                  for i in range(5)]
+        pieces[3].update(bad)
+        return json.dumps({"kind": "bound", "target": 1.0, "side": "below", "pieces": pieces})
+
+    @pytest.mark.parametrize("bad,message", [
+        ({"fs": "x"}, "piece 3: certificate JSON field 'fs' is not a number"),
+        ({"delta": True}, "piece 3: certificate JSON field 'delta' is not a number"),
+        ({"lo": 5.0}, "piece 3: interval endpoints out of order: [5.0, 4.0]"),
+        ({"hi": math.inf}, "piece 3: interval endpoints must be finite: [3.0, inf]"),
+    ])
+    def test_error_names_the_piece(self, bad, message):
+        with pytest.raises(ValueError) as exc:
+            certificate_from_json(self._text(**bad))
+        assert str(exc.value) == message
+
+    def test_missing_field_names_the_piece(self):
+        data = json.loads(self._text())
+        del data["pieces"][3]["s"]
+        with pytest.raises(ValueError) as exc:
+            certificate_from_json(json.dumps(data))
+        assert str(exc.value) == "piece 3: certificate JSON missing field 's'"
+
+    def test_parsed_columns_are_floats(self):
+        cert = certificate_from_json(
+            '{"kind": "sign", "target": 2, "side": "below", "pieces": '
+            '[{"lo": 0, "hi": 1, "s": 0, "fs": 0, "delta": 1}]}')
+        assert cert == SignCertificate(2.0, Side.BELOW, (0.0,), (1.0,), (0.0,), (0.0,), (1.0,))
+        assert all(type(v) is float for v in cert.lo + cert.hi + cert.s + cert.fs + cert.delta)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from gaugekit import analysis, cousin, expr
+from gaugekit import analysis, cli, cousin, expr
 from gaugekit.cli import (
     EXIT_CANTCREAT,
     EXIT_CAP_EXCEEDED,
@@ -403,6 +403,58 @@ class TestCertifyVerify:
         code, _, _ = run_cli(capsys, "verify", "--certificate", str(path), "--f", "x")
         assert code == EXIT_DATA
 
+    @staticmethod
+    def _bound_pieces(capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        run_cli(capsys, "certify", "--f", "sin(x)", "--bound", "1.5",
+                "--interval", "0", "3.141592653589793", "--output", str(path))
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("lipschitz", [[], ["--lipschitz", "1"]])
+    @pytest.mark.parametrize("order", ["reversed", "swapped"])
+    def test_pieces_out_of_order_are_rejected(self, capsys, tmp_path, lipschitz, order):
+        path, data = self._bound_pieces(capsys, tmp_path)
+        pieces = data["pieces"]
+        if order == "reversed":
+            pieces.reverse()
+        else:
+            pieces[2], pieces[3] = pieces[3], pieces[2]
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "verify", "--certificate", str(path),
+                                 "--f", "sin(x)", *lipschitz)
+        assert (code, out, err) == (EXIT_CHECK_FAILED, '{\n  "verified": false\n}\n', "")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("fs", "one", "piece 3: certificate JSON field 'fs' is not a number"),
+        ("delta", None, "piece 3: certificate JSON field 'delta' is not a number"),
+        ("s", "missing", "piece 3: certificate JSON missing field 's'"),
+        ("hi", 0.5, "piece 3: interval endpoints out of order"),
+        ("lo", math.inf, "piece 3: interval endpoints must be finite"),
+        ("hi", math.nan, "piece 3: interval endpoints must be finite"),
+    ])
+    def test_parse_errors_name_the_piece(self, capsys, tmp_path, field, value, message):
+        path, data = self._bound_pieces(capsys, tmp_path)
+        if value == "missing":
+            del data["pieces"][3][field]
+        else:
+            data["pieces"][3][field] = value
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "verify", "--certificate", str(path),
+                                 "--f", "sin(x)")
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith(f"error: malformed certificate: {message}")
+
+    @pytest.mark.parametrize("lo,hi", [(1, 0), (0, "Infinity"), ("-Infinity", 0), ("NaN", 1)])
+    def test_single_bad_piece_is_a_data_error(self, capsys, tmp_path, lo, hi):
+        path = tmp_path / "cert.json"
+        path.write_text('{"kind": "sign", "target": 2, "side": "below", "pieces": '
+                        f'[{{"lo": {lo}, "hi": {hi}, "s": 0, "fs": 0, "delta": 1}}]}}')
+        code, out, err = run_cli(capsys, "verify", "--certificate", str(path), "--f", "x")
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("error: malformed certificate: piece 0: interval endpoints")
+
 
 class TestUnwritablePaths:
     @pytest.mark.parametrize("argv", [
@@ -680,3 +732,58 @@ class TestOutputOpenedFirst:
         assert code == EXIT_OK
         assert out == ""
         assert path.read_text() == expected
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser, built on its first call."""
+
+    SEQUENCE = [
+        ["partition", "--gauge", "const:0.3", "--interval", "0", "1", "--format", "csv"],
+        ["certify", "--f", "sin(x)", "--bound", "1.5", "--interval", "0", "3"],
+        ["partition", "--gauge", "const:0.3"],  # usage error: --interval is missing
+        ["check", "--partition", "{partition}", "--gauge", "const:0.2"],
+        ["root", "--f", "x^2-", "--interval", "1", "2"],  # data error: bad expression
+        ["root", "--f", "x^2-2", "--interval", "1", "2", "--format", "human"],
+        ["certify", "--f", "x", "--no-root", "2", "--bound", "3",
+         "--interval", "0", "1"],  # usage error: exclusive flags
+        ["verify", "--certificate", "{certificate}", "--f", "sin(x)"],
+        ["extremum", "--min", "--f", "x^2", "--interval", "-1", "1", "--tol", "1e-3"],
+        ["partition", "--gauge", "const:0.3", "--interval", "0", "1", "--format", "xml"],
+        ["partition", "--gauge", "pw:0:0.5,0.5:0.25", "--interval", "0", "1",
+         "--strategy", "bisect"],
+    ]
+
+    def test_shared_parser_answers_as_a_fresh_one(self, capsys, monkeypatch, tmp_path):
+        files = {"partition": tmp_path / "part.json", "certificate": tmp_path / "cert.json"}
+        run_cli(capsys, "partition", "--gauge", "const:0.3", "--interval", "0", "1",
+                "--output", str(files["partition"]))
+        run_cli(capsys, "certify", "--f", "sin(x)", "--bound", "1.5", "--interval", "0", "3",
+                "--output", str(files["certificate"]))
+        argvs = [[a.format(**files) for a in argv] for argv in self.SEQUENCE]
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+
+        fresh = []
+        for argv in argvs:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(run_cli(capsys, *argv)[:2])
+        assert len(built) == len(argvs)
+
+        monkeypatch.setattr(cli, "_parser", None)
+        shared = [run_cli(capsys, *argv)[:2] for argv in argvs]
+        assert len(built) == len(argvs) + 1
+        assert shared == fresh
+        assert [code for code, _ in shared] == [
+            EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK,
+            EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_no_parser_is_built_at_import(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import gaugekit.cli as c; print(c._parser)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "None\n"

@@ -10,7 +10,9 @@ To rewrite the pinned file after a deliberate output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-It prints the keys whose pinned exit code or stdout changed, or "no change".
+It lists the keys it added, removed and changed (a changed key's exit
+code or stdout differs from the pinned one), each under its own label, or
+prints "no change".
 """
 
 import csv
@@ -51,6 +53,7 @@ CASES = {
     "check-broken": ["check", "--partition", "{broken}", "--gauge", "const:0.3"],
     "verify-ok": ["verify", "--certificate", "{certificate}", "--f", "sin(x)"],
     "verify-above": ["verify", "--certificate", "{above}", "--f", "x"],
+    "verify-unordered": ["verify", "--certificate", "{unordered}", "--f", "sin(x)"],
     "root": ["root", "--f", "x^2-2", "--y", "0", "--interval", "1", "2"],
     "root-no-sign-change": ["root", "--f", "x^2+1", "--interval", "-1", "1"],
     "extremum": ["extremum", "--max", "--f", "sin(x)", "--interval", "0", PI,
@@ -71,9 +74,34 @@ BROKEN_PARTITION = """\
 ]}
 """
 
+# The pieces of certify-bound in reverse order: each piece holds on its own,
+# but they do not tile the domain left to right.
+UNORDERED_CERTIFICATE = """\
+{"kind": "bound", "target": 1.5, "side": "below", "pieces": [
+  {"lo": 3.100781591834415, "hi": 3.141592653589793, "s": 3.100781591834415,
+   "fs": 0.04079973393735118, "delta": 0.7296001330313244},
+  {"lo": 2.605969920831187, "hi": 3.100781591834415, "s": 2.605969920831187,
+   "fs": 0.5103766579935445, "delta": 0.49481167100322776},
+  {"lo": 2.2461978953658654, "hi": 2.605969920831187, "s": 2.2461978953658654,
+   "fs": 0.7804559490693572, "delta": 0.3597720254653214},
+  {"lo": 1.9589942403835257, "hi": 2.2461978953658654, "s": 1.9589942403835257,
+   "fs": 0.9255926900353205, "delta": 0.28720365498233974},
+  {"lo": 1.7045297434752853, "hi": 1.9589942403835257, "s": 1.7045297434752853,
+   "fs": 0.9910710061835195, "delta": 0.25446449690824025},
+  {"lo": 1.4509428248799097, "hi": 1.7045297434752853, "s": 1.4509428248799097,
+   "fs": 0.992826162809249, "delta": 0.2535869185953755},
+  {"lo": 1.159180619988333, "hi": 1.4509428248799097, "s": 1.159180619988333,
+   "fs": 0.9164755902168467, "delta": 0.29176220489157667},
+  {"lo": 0.75, "hi": 1.159180619988333, "s": 0.75,
+   "fs": 0.6816387600233341, "delta": 0.40918061998833294},
+  {"lo": 0.0, "hi": 0.75, "s": 0.0, "fs": 0.0, "delta": 0.75}
+]}
+"""
+
 # input file name -> the case whose JSON stdout it holds, or a literal file
 INPUTS = {"partition": "partition-const", "certificate": "certify-bound",
-          "above": "certify-above", "broken": BROKEN_PARTITION}
+          "above": "certify-above", "broken": BROKEN_PARTITION,
+          "unordered": UNORDERED_CERTIFICATE}
 
 
 def _input_text(source: str, outputs: dict) -> str:
@@ -139,6 +167,30 @@ def test_csv_rows_match_header(golden):
     assert ragged == []
 
 
+def _report(old: dict, new: dict) -> str:
+    """The keys ``new`` added to ``old``, removed from it and changed in it,
+    each group under its own label, or "no change"."""
+    groups = {
+        "added": sorted(new.keys() - old.keys()),
+        "removed": sorted(old.keys() - new.keys()),
+        "changed": sorted(k for k in new.keys() & old.keys() if new[k] != old[k]),
+    }
+    lines = []
+    for label, keys in groups.items():
+        if keys:
+            lines += [f"{label}:"] + [f"  {k}" for k in keys]
+    return "\n".join(lines) if lines else "no change"
+
+
+def test_report_labels_each_kind_of_change():
+    old = {"a.json": {"exit": 0, "stdout": "x"}, "b.json": {"exit": 0, "stdout": "y"},
+           "c.json": {"exit": 1, "stdout": ""}}
+    new = {"a.json": {"exit": 0, "stdout": "x"}, "b.json": {"exit": 0, "stdout": "z"},
+           "d.json": {"exit": 0, "stdout": ""}, "e.json": {"exit": 0, "stdout": ""}}
+    assert _report(old, new) == "added:\n  d.json\n  e.json\nremoved:\n  c.json\nchanged:\n  b.json"
+    assert _report(new, new) == "no change"
+
+
 def _regenerate():
     import contextlib
     import tempfile
@@ -161,8 +213,7 @@ def _regenerate():
                 if case == source:
                     pathlib.Path(inputs[key]).write_text(pinned[f"{case}.json"]["stdout"])
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    changed = sorted(k for k in pinned.keys() | old.keys() if pinned.get(k) != old.get(k))
-    print("\n".join(changed) if changed else "no change")
+    print(_report(old, pinned))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(dict(sorted(pinned.items())), indent=1) + "\n")
 
